@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING
 
 from repro.errors import CosyError
 from repro.kernel.clock import Mode
+from repro.kernel.memory.layout import PAGE_SIZE
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.core import Kernel
@@ -74,6 +75,22 @@ class SharedBuffer:
     def write_user(self, offset: int, data: bytes) -> None:
         self._check(offset, len(data))
         self.kernel.mmu.write(self.task.aspace, self.base + offset, data)
+
+    def peek(self, offset: int, nbytes: int) -> bytes:
+        """Observer access: the same bytes, read straight from the frames
+        with no charge and no TLB or fault side effect (the region is
+        mapped up front, so every page is present)."""
+        self._check(offset, nbytes)
+        out = bytearray()
+        addr = self.base + offset
+        end = addr + nbytes
+        while addr < end:
+            frame = self.task.aspace.lookup(addr).frame
+            off = addr & (PAGE_SIZE - 1)
+            n = min(end - addr, PAGE_SIZE - off)
+            out += self.kernel.physmem.frame_bytes(frame)[off:off + n]
+            addr += n
+        return bytes(out)
 
     def read_kernel(self, offset: int, nbytes: int) -> bytes:
         """Kernel-side access: same frames, in-kernel memcpy cost only."""

@@ -168,7 +168,7 @@ class Kernel:
             uring = getattr(self, "uring", None)
             if uring is None:
                 return 0
-            return sum(ring.cq_pending() for ring in uring.rings)
+            return sum(ring.cq_backlog() for ring in uring.rings)
 
         prof.add_counter("uring.cq_backlog", cq_backlog)
 

@@ -121,7 +121,15 @@ class Uring:
 
     def cq_pending(self) -> int:
         """CQEs published but not yet harvested (kernel view)."""
-        head = self.k_read_u32(CQ_HEAD_OFF)
+        return self._cq_pending(self.k_read_u32(CQ_HEAD_OFF))
+
+    def cq_backlog(self) -> int:
+        """:meth:`cq_pending` for observers (the profiler's counter
+        track): the head is peeked, so reading it costs no cycles."""
+        head = int.from_bytes(self.shared.peek(CQ_HEAD_OFF, 4), "little")
+        return self._cq_pending(head)
+
+    def _cq_pending(self, head: int) -> int:
         return ((self.cq_tail - head) & 0xFFFFFFFF) + len(self.overflow)
 
     def fixed_fd(self, slot: int) -> int:

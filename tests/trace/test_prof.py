@@ -22,6 +22,7 @@ from repro.trace.flamegraph import flamegraph_svg
 from repro.trace.perfetto import chrome_trace
 from repro.trace.prof import (ENV_PROF, ENV_PROF_PERIOD, UNTRACED_FRAME,
                               MaxWitness, resolve_period)
+from repro.workloads import HttpBenchConfig, run_http_bench_smp
 
 
 def buckets(k: Kernel) -> tuple[int, int, int]:
@@ -81,6 +82,22 @@ def test_identity_on_network_workload():
         conn = k.sys.accept(server_fd)
         assert k.sys.read(conn, 16) == b"ping"
         runs.append(buckets(k))
+    assert runs[0] == runs[1]
+
+
+def test_identity_on_uring_workload():
+    """The ``uring.cq_backlog`` counter track reads every ring's CQ head
+    at each sample: that read must charge nothing and leave the TLB as
+    it was (sqpoll rings on 2 CPUs, as in the E14 serving bench)."""
+    runs = []
+    for profiled in (False, True):
+        k = Kernel(profile=profiled, cpus=2)
+        k.mount_root(RamfsSuperBlock(k))
+        k.spawn("t0")
+        SocketLayer(k, queues=2)
+        r = run_http_bench_smp(k, "uring", HttpBenchConfig(nclients=64))
+        runs.append((buckets(k), r.per_cpu_elapsed,
+                     k.mmu.tlb_hits, k.mmu.tlb_misses))
     assert runs[0] == runs[1]
 
 
