@@ -107,10 +107,6 @@ class Op:
         out = _OP.pack(int(self.opcode), self.dst, self.extra, len(self.args))
         return out + b"".join(a.pack() for a in self.args)
 
-    @property
-    def packed_size(self) -> int:
-        return _OP.size + len(self.args) * _ARG.size
-
     @staticmethod
     def unpack(data: bytes, offset: int) -> tuple["Op", int]:
         if offset + _OP.size > len(data):

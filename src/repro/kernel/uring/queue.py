@@ -66,12 +66,6 @@ class UringQueue:
         self._touch(len(data))
         return offset
 
-    def read_data(self, offset: int, nbytes: int) -> bytes:
-        """Read completed-op payload out of the data area (user rates)."""
-        data = self.shared.read_user(offset, nbytes)
-        self._touch(len(data))
-        return data
-
     # ----------------------------------------------------------- submission
 
     def sq_space(self) -> int:

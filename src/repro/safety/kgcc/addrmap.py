@@ -110,18 +110,8 @@ class ObjectMap:
     def oob_at(self, addr: int) -> OOBObject | None:
         return self._oob.get(addr)
 
-    def drop_oob(self, addr: int) -> None:
-        self._oob.pop(addr, None)
-
     # ------------------------------------------------------------- queries
 
     @property
     def live_objects(self) -> int:
         return len(self._tree)
-
-    @property
-    def live_oob(self) -> int:
-        return len(self._oob)
-
-    def all_objects(self) -> list[MemObject]:
-        return [obj for _, obj in self._tree.items()]

@@ -56,15 +56,9 @@ class EventDispatcher:
         """Register an in-kernel (synchronous) monitor."""
         self.callbacks.append(callback)
 
-    def unregister_callback(self, callback: Callback) -> None:
-        self.callbacks.remove(callback)
-
     def enable_ring(self) -> None:
         """Start feeding the user-space path (chardev consumers)."""
         self.ring_enabled = True
-
-    def disable_ring(self) -> None:
-        self.ring_enabled = False
 
     # ------------------------------------------------------------- dispatch
 

@@ -72,10 +72,6 @@ class Attribution:
         return sum(s.self_cycles for s in self.spans.values()
                    if s.category == category)
 
-    def category_total(self, category: str) -> int:
-        return sum(s.total_cycles for s in self.spans.values()
-                   if s.category == category)
-
     # ---------------------------------------------------------- reporting
 
     def to_dict(self) -> dict:

@@ -1,4 +1,4 @@
-"""Concurrent HTTP serving, three ways: select, epoll, Cosy compounds.
+"""Concurrent HTTP serving, four ways: select, epoll, Cosy compounds, rings.
 
 This is the paper's server story (§2.1/§2.4) run against *many* clients on
 the simulated network stack, instead of one socketpair.  Per request every
@@ -30,14 +30,24 @@ user/kernel boundary they cross to do it:
   (no ``REQUEST_PARSE_CYCLES``) — but unlike Cosy there is no program to
   encode or interpret, just fixed-size entries.
 
+Every server is hardened: EOF, resets, mid-transfer hangups, garbled
+requests, ``EMFILE`` on accept and fault-aborted compounds reap the
+connection and count an error, at no simulated cost on the happy path.
+``serve_wave(n)`` is the bench loop (serve ``n`` queued keep-alive
+requests); ``pump()`` is the scenario suite's overload loop (serve until
+nothing is pending), or ``serve_one()`` for the compound server, which
+closes each connection.  Select and uring keep
+two loops because their syscall order is measured behaviour; epoll's
+``serve_wave(n)`` is ``pump(n)``.
+
 ``benchmarks/bench_net.py`` sweeps the client count to reproduce the
 crossings-dominate curve; the differential test asserts all four serve
 byte-identical responses.
 
 Protocol: one request per connection, ``b"GET <path>\\0"`` (NUL-terminated
 so the Cosy compound can reuse its request region), response is the raw
-file body; connections are kept alive (never closed by the server), which
-is what makes select's interest set grow.
+file body; in the bench loop connections are kept alive (never closed by
+the server), which is what makes select's interest set grow.
 """
 
 from __future__ import annotations
@@ -46,11 +56,11 @@ import hashlib
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
-from repro.core.cosy.compound import CompoundBuilder
+from repro.core.cosy.compound import CompoundBuilder, CompoundFault
 from repro.core.cosy.kernel_ext import CosyKernelExtension
 from repro.core.cosy.ops import Arg
 from repro.core.cosy.shared_buffer import SharedBuffer
-from repro.errors import EAGAIN, Errno
+from repro.errors import EAGAIN, ECANCELED, EMFILE, Errno
 from repro.kernel.clock import Mode
 from repro.kernel.net import EPOLL_CTL_ADD, EPOLLIN
 from repro.kernel.uring import (F_FIXED_FILE, F_LINK, F_MULTISHOT, OP_ACCEPT,
@@ -121,7 +131,9 @@ def _request_for(path: str) -> bytes:
 
 
 class _HttpServerBase:
-    """Listener setup + the per-request file work shared by all servers."""
+    """Listener setup, connection tracking, and the per-request file work
+    shared by all servers.  The loops count progress in :attr:`requests`.
+    """
 
     def __init__(self, kernel: "Kernel", cfg: HttpBenchConfig):
         self.kernel = kernel
@@ -129,6 +141,8 @@ class _HttpServerBase:
         self.listen_fd = -1
         self.requests = 0
         self.bytes_served = 0
+        #: requests or connections lost to a misbehaving peer or a fault
+        self.errors = 0
 
     def setup(self) -> None:
         sys = self.kernel.sys
@@ -136,18 +150,82 @@ class _HttpServerBase:
         sys.bind(self.listen_fd, self.cfg.port)
         sys.listen(self.listen_fd, self.cfg.backlog)
 
-    def _serve_conn(self, conn: int) -> None:
-        """One request on an established connection, user-level style."""
+    def _accept_pending(self) -> int:
+        """Drain the accept queue; returns backlog entries consumed."""
         sys = self.kernel.sys
-        req = sys.read(conn, REQUEST_BYTES)
+        consumed = 0
+        while True:
+            try:
+                conn = sys.accept(self.listen_fd)
+            except Errno as exc:
+                if exc.errno == EAGAIN:
+                    break
+                if exc.errno == EMFILE:
+                    # the kernel tore the child down (accept-emfile path);
+                    # the backlog entry is consumed, keep draining
+                    consumed += 1
+                    continue
+                raise
+            self._track(conn)
+            consumed += 1
+        return consumed
+
+    def _serve_conn(self, conn: int) -> None:
+        """One request on a readable connection, user-level style."""
+        sys = self.kernel.sys
+        try:
+            req = sys.read(conn, REQUEST_BYTES)
+        except Errno:
+            self._reap(conn)
+            return
+        if not req:
+            # readable with no data ⇒ EOF/HUP: the peer is gone
+            self._reap(conn)
+            return
         self.kernel.clock.charge(REQUEST_PARSE_CYCLES, Mode.USER)
-        path = req[4:].split(b"\0", 1)[0].decode()
-        fd = sys.open(path, O_RDONLY)
+        path = req[4:].split(b"\0", 1)[0].decode(errors="replace")
+        try:
+            fd = sys.open(path, O_RDONLY)
+        except Errno:
+            self.errors += 1      # truncated/garbled request line
+            self._reap(conn)
+            return
         try:
             self.bytes_served += sys.sendfile(conn, fd, 0, 1 << 30)
+        except Errno:
+            self.errors += 1      # peer hung up (or a fault storm) mid-send
+            self._reap(conn)
+            return
         finally:
             sys.close(fd)
         self.requests += 1
+
+    def _track(self, conn: int) -> None:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def _reap(self, conn: int) -> None:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def live_conns(self) -> list[int]:
+        """Connections the server tracks, for :meth:`close` (a compound
+        server tracks none: its connections live inside the kernel)."""
+        return []
+
+    def _server_fds(self) -> list[int]:
+        """The server's own descriptors, in the order :meth:`close` drops
+        them."""
+        return [self.listen_fd]
+
+    def close(self) -> None:
+        """Close every live connection, then the server's own fds."""
+        sys = self.kernel.sys
+        for fd in self.live_conns():
+            try:
+                sys.close(fd)
+            except Errno:
+                pass
+        for fd in self._server_fds():
+            sys.close(fd)
 
     def serve_wave(self, n: int) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -166,41 +244,65 @@ class SelectHttpServer(_HttpServerBase):
         self.fds = [self.listen_fd]
         self._index = {self.listen_fd: 0}
 
+    def _track(self, conn: int) -> None:
+        self._index[conn] = len(self.fds)
+        self.fds.append(conn)
+
+    def _reap(self, conn: int) -> None:
+        self.kernel.sys.close(conn)
+        self.fds = [fd for fd in self.fds if fd != conn]
+        self._index = {fd: i for i, fd in enumerate(self.fds)}
+
+    def live_conns(self) -> list[int]:
+        return self.fds[1:]
+
     def serve_wave(self, n: int) -> None:
+        """Serve ``n`` queued requests (the bench loop)."""
         sys = self.kernel.sys
-        served = 0
+        goal = self.requests + n
         pos = 0
-        while served < n:
+        while self.requests < goal:
             # the classic loop: select over the whole set, walk the ready
             # fds it reported.  No per-connection registration syscalls —
             # select's small-N advantage — but every call rescans all N
-            # descriptors, which is what sinks it at large N.
+            # descriptors, which is what sinks it at large N.  The scan
+            # resumes after the last fd served, so no connection starves.
             ready = sys.select(self.fds, start=pos, limit=64)
             if not ready:
                 raise RuntimeError("select found nothing with work pending")
             for fd in ready:
                 if fd == self.listen_fd:
-                    while True:
-                        try:
-                            conn = sys.accept(self.listen_fd)
-                        except Errno as exc:
-                            if exc.errno == EAGAIN:
-                                break
-                            raise
-                        self._index[conn] = len(self.fds)
-                        self.fds.append(conn)
+                    self._accept_pending()
                 else:
                     self._serve_conn(fd)
-                    served += 1
             pos = (self._index[ready[-1]] + 1) % len(self.fds)
+
+    def pump(self) -> int:
+        """Serve until nothing is pending (the scenario loop: accept
+        first, then scan from the start); returns requests served."""
+        sys = self.kernel.sys
+        start = self.requests
+        while True:
+            progressed = self._accept_pending() > 0
+            for fd in sys.select(self.fds, start=0, limit=64):
+                if fd != self.listen_fd:
+                    self._serve_conn(fd)
+                    progressed = True
+            if not progressed:
+                return self.requests - start
 
 
 class EpollHttpServer(_HttpServerBase):
-    """Event loop: readiness is registered once, reported O(ready)."""
+    """Event loop: readiness is registered once, reported O(ready).
+
+    Reaping closes the connection *without* EPOLL_CTL_DEL on purpose:
+    descriptor reuse across churn is exactly the stale-registration edge
+    the epoll identity tracking has to survive."""
 
     def __init__(self, kernel: "Kernel", cfg: HttpBenchConfig):
         super().__init__(kernel, cfg)
         self.epfd = -1
+        self._conns: set[int] = set()
 
     def setup(self) -> None:
         super().setup()
@@ -208,26 +310,42 @@ class EpollHttpServer(_HttpServerBase):
         self.epfd = sys.epoll_create()
         sys.epoll_ctl(self.epfd, EPOLL_CTL_ADD, self.listen_fd, EPOLLIN)
 
+    def _track(self, conn: int) -> None:
+        self.kernel.sys.epoll_ctl(self.epfd, EPOLL_CTL_ADD, conn, EPOLLIN)
+        self._conns.add(conn)
+
+    def _reap(self, conn: int) -> None:
+        self.kernel.sys.close(conn)
+        self._conns.discard(conn)
+
+    def live_conns(self) -> list[int]:
+        return sorted(self._conns)
+
+    def _server_fds(self) -> list[int]:
+        return [self.epfd, self.listen_fd]
+
     def serve_wave(self, n: int) -> None:
+        """Serve ``n`` queued requests (the bench loop)."""
+        if self.pump(n) < n:
+            raise RuntimeError("epoll found nothing with work pending")
+
+    def pump(self, limit: int | None = None) -> int:
+        """Serve until nothing is pending, or until ``limit`` requests
+        are done; returns requests served."""
         sys = self.kernel.sys
-        served = 0
-        while served < n:
+        start = self.requests
+        while limit is None or self.requests - start < limit:
             events = sys.epoll_wait(self.epfd, maxevents=64, timeout=0)
-            if not events:
-                raise RuntimeError("epoll found nothing with work pending")
+            progressed = False
             for fd, _mask in events:
                 if fd == self.listen_fd:
-                    while True:
-                        try:
-                            conn = sys.accept(self.listen_fd)
-                        except Errno as exc:
-                            if exc.errno == EAGAIN:
-                                break
-                            raise
-                        sys.epoll_ctl(self.epfd, EPOLL_CTL_ADD, conn, EPOLLIN)
+                    progressed = self._accept_pending() > 0 or progressed
                 else:
                     self._serve_conn(fd)
-                    served += 1
+                    progressed = True
+            if not progressed:
+                break
+        return self.requests - start
 
 
 class CosyHttpServer(_HttpServerBase):
@@ -237,14 +355,20 @@ class CosyHttpServer(_HttpServerBase):
     connections runs inside a single ``cosy_exec`` trap; the request line
     lands in the shared buffer (kernel-side memcpy, no uaccess) and the
     path is read back out of it C-string-style by the ``open`` op.
+    :meth:`serve_one` also closes the connection in the compound (churn
+    would otherwise leak one server-side fd per request).
     """
+
+    #: compound slot layout (for fault cleanup)
+    _SLOT_CONN, _SLOT_FD = 1, 2
 
     def __init__(self, kernel: "Kernel", cfg: HttpBenchConfig):
         super().__init__(kernel, cfg)
         self.ext: CosyKernelExtension | None = None
         self.shared: SharedBuffer | None = None
         self.req_off = 0
-        self._encoded: dict[int, bytes] = {}   # wave size -> compound bytes
+        #: (wave size, close_conn) -> compound bytes
+        self._encoded: dict[tuple[int, bool], bytes] = {}
 
     def setup(self) -> None:
         super().setup()
@@ -252,8 +376,8 @@ class CosyHttpServer(_HttpServerBase):
         self.shared = SharedBuffer(self.kernel, self.kernel.current, 4096)
         self.req_off = self.shared.alloc(REQUEST_BYTES)
 
-    def _compound(self, n: int) -> bytes:
-        encoded = self._encoded.get(n)
+    def _compound(self, n: int, close_conn: bool) -> bytes:
+        encoded = self._encoded.get((n, close_conn))
         if encoded is not None:
             return encoded
         b = CompoundBuilder()
@@ -276,22 +400,51 @@ class CosyHttpServer(_HttpServerBase):
         b.syscall("sendfile", Arg.slot(conn), Arg.slot(fd),
                   Arg.lit(0), Arg.lit(1 << 30), out=sent)
         b.syscall("close", Arg.slot(fd), out=rc)
+        if close_conn:
+            b.syscall("close", Arg.slot(conn), out=rc)
         b.math("-", cnt, Arg.slot(cnt), Arg.lit(1))
         b.jz(Arg.slot(cnt), done)
         b.jmp(top)
         b.place(done)
         encoded = b.encode()
-        self._encoded[n] = encoded
+        self._encoded[(n, close_conn)] = encoded
         return encoded
 
-    def serve_wave(self, n: int) -> None:
-        encoded = self._compound(n)
+    def _execute(self, encoded: bytes) -> None:
         # user side forms (or reuses) the compound buffer
         self.kernel.clock.charge(
             int(len(encoded) * self.kernel.costs.user_touch_per_byte),
             Mode.USER)
         self.ext.execute(self.kernel.current, encoded, self.shared)
+
+    def serve_wave(self, n: int) -> None:
+        """Serve ``n`` queued connections, keep-alive (the bench loop)."""
+        self._execute(self._compound(n, close_conn=False))
         self.requests += n
+
+    def serve_one(self) -> int:
+        """Serve exactly one queued connection and close it; returns 1
+        when the request completed."""
+        encoded = self._compound(1, close_conn=True)
+        try:
+            self._execute(encoded)
+        except CompoundFault as cf:
+            # partial-failure cleanup: close whatever the compound had
+            # open when the faulting op aborted it
+            self.errors += 1
+            if cf.op_name != "accept":
+                sys = self.kernel.sys
+                open_slots = [self._SLOT_CONN]
+                if cf.op_name in ("sendfile", "close"):
+                    open_slots.insert(0, self._SLOT_FD)
+                for slot in open_slots:
+                    try:
+                        sys.close(cf.slots[slot])
+                    except Errno:
+                        pass
+            return 0
+        self.requests += 1
+        return 1
 
 
 class UringHttpServer(_HttpServerBase):
@@ -305,6 +458,9 @@ class UringHttpServer(_HttpServerBase):
     through the fixed-file slot the OPENAT filled, and CLOSE drops it.
     The chain tail runs synchronously once the RECV fires, so a single
     fixed-file slot serves every in-flight request.
+    Under churn, failed ops are routine (RECV completes 0 or
+    ``-ECONNRESET``, a failed link cancels its chain's rest with
+    ``-ECANCELED``); each failure reaps the connection.
     """
 
     #: user_data low bits tag the op; high bits carry the connection fd
@@ -323,6 +479,7 @@ class UringHttpServer(_HttpServerBase):
         #: Cosy's single request region.
         self._pool: list[int] = []
         self._bufs: dict[int, int] = {}       # conn fd -> data-area offset
+        self._conns: set[int] = set()
 
     def setup(self) -> None:
         super().setup()
@@ -362,10 +519,78 @@ class UringHttpServer(_HttpServerBase):
         q.prep(Sqe(OP_CLOSE, flags=F_FIXED_FILE, fd=0,
                    user_data=ud | self.TAG_CLOSE))
 
+    def _track(self, conn: int) -> None:
+        self._conns.add(conn)
+        self._chain(conn)
+
+    def _reap(self, conn: int) -> None:
+        if conn not in self._conns:
+            return
+        self._conns.discard(conn)
+        buf = self._bufs.pop(conn, None)
+        if buf is not None:
+            self._pool.append(buf)
+        try:
+            self.kernel.sys.close(conn)
+        except Errno:  # pragma: no cover - double close is a server bug
+            pass
+
+    def live_conns(self) -> list[int]:
+        return sorted(self._conns)
+
+    def _server_fds(self) -> list[int]:
+        return [self.ring_fd, self.listen_fd]
+
+    def _handle(self, cqe, rearm: bool) -> bool:
+        """Account one completion; True when it accepted a connection
+        (whose first chain is then queued, not yet submitted).
+
+        A completed chain's CLOSE either re-arms the next request's
+        chain on the same connection (``rearm``) or returns the request
+        buffer to the pool, leaving the connection to its client.
+        """
+        tag = cqe.user_data & 7
+        conn = cqe.user_data >> 3
+        res = cqe.res
+        if tag == self.TAG_ACCEPT:
+            if res < 0:
+                # EMFILE: the kernel tore the child down (accept-emfile
+                # path); the multishot accept stays armed
+                self.errors += 1
+                return False
+            self._track(res)
+            return True
+        if tag == self.TAG_RECV:
+            if res <= 0:
+                # EOF, reset, or an injected fault; the chain's rest
+                # arrives as -ECANCELED CQEs right behind this one
+                self._reap(conn)
+        elif tag == self.TAG_OPEN:
+            if res < 0 and res != -ECANCELED:
+                self.errors += 1      # truncated/garbled request line
+                self._reap(conn)
+        elif tag == self.TAG_SENDFILE:
+            if res >= 0:
+                self.bytes_served += res
+                self.requests += 1
+            elif res != -ECANCELED:
+                self.errors += 1      # peer hung up (or fault) mid-send
+                self._reap(conn)
+        elif res != -ECANCELED and conn in self._conns:
+            # TAG_CLOSE of a chain that ran to completion
+            if rearm:
+                self._chain(conn)
+            else:
+                self._pool.append(self._bufs.pop(conn))
+        return False
+
     def serve_wave(self, n: int) -> None:
+        """Serve ``n`` queued requests (the bench loop: harvest first,
+        trap only when the CQ is empty, one submit per harvested batch
+        that accepted connections)."""
         q = self.q
-        served = 0
-        while served < n:
+        goal = self.requests + n
+        while self.requests < goal:
             cqes = q.harvest(maxevents=64)
             if not cqes:
                 # nothing harvestable without kernel help: flush armed
@@ -375,23 +600,27 @@ class UringHttpServer(_HttpServerBase):
                 continue
             prepped = False
             for cqe in cqes:
-                tag = cqe.user_data & 7
-                if cqe.res < 0:
-                    raise RuntimeError(
-                        f"uring op tag={tag} failed with res={cqe.res}")
-                if tag == self.TAG_ACCEPT:
-                    self._chain(cqe.res)
-                    prepped = True
-                elif tag == self.TAG_SENDFILE:
-                    self.bytes_served += cqe.res
-                    self.requests += 1
-                    served += 1
-                elif tag == self.TAG_CLOSE:
-                    buf = self._bufs.pop(cqe.user_data >> 3, None)
-                    if buf is not None:
-                        self._pool.append(buf)
+                prepped = self._handle(cqe, rearm=False) or prepped
             if prepped:
                 q.submit()
+
+    def pump(self) -> int:
+        """Serve until nothing is pending (the scenario loop: keep-alive,
+        one enter per round); returns requests served."""
+        q = self.q
+        start = self.requests
+        while True:
+            try:
+                # one trap flushes armed accepts/recvs, the CQ-overflow
+                # backlog, and any chains _handle re-armed last round
+                q.enter()
+            except Errno:
+                self.errors += 1
+            cqes = q.harvest(maxevents=64)
+            if not cqes:
+                return self.requests - start
+            for cqe in cqes:
+                self._handle(cqe, rearm=True)
 
 
 _SERVERS = {
@@ -453,8 +682,19 @@ def run_http_bench(kernel: "Kernel", kind: str,
     # differential evidence: what did each client actually receive?
     kernel.sched.switch_to(clients)
     digest = hashlib.sha256()
+    result.requests = server.requests
+    result.bytes_served = _drain_clients(kernel, client_fds, digest)
+    result.digest = digest.hexdigest()
+    result.nic = _nic_stats(kernel, smp=False)
+    return result
+
+
+def _drain_clients(kernel: "Kernel", fds: list[int], digest) -> int:
+    """Read every client fd to EOF, folding each body (length-prefixed)
+    into ``digest``; returns the bytes read."""
+    sys = kernel.sys
     total = 0
-    for fd in client_fds:
+    for fd in fds:
         body = bytearray()
         while True:
             chunk = sys.read(fd, 65536)
@@ -464,18 +704,25 @@ def run_http_bench(kernel: "Kernel", kind: str,
         digest.update(len(body).to_bytes(8, "little"))
         digest.update(bytes(body))
         total += len(body)
-    result.requests = server.requests
-    result.bytes_served = total
-    result.digest = digest.hexdigest()
-    stack = kernel.sys.do_accept.__self__  # the installed SocketLayer
-    result.nic = {
-        "tx_packets": stack.nic.tx_packets,
-        "rx_packets": stack.nic.rx_packets,
-        "tx_bytes": stack.nic.tx_bytes,
-        "interrupts": stack.nic.interrupts,
-        "dropped": stack.nic.dropped,
+    return total
+
+
+def _nic_stats(kernel: "Kernel", smp: bool) -> dict:
+    """The NIC counters a bench result reports; sharded runs add the RX
+    queue count and NIC lock contention."""
+    nic = kernel.sys.do_accept.__self__.nic  # the installed SocketLayer's
+    stats = {
+        "tx_packets": nic.tx_packets,
+        "rx_packets": nic.rx_packets,
+        "tx_bytes": nic.tx_bytes,
+        "interrupts": nic.interrupts,
+        "dropped": nic.dropped,
     }
-    return result
+    if smp:
+        stats.update(rx_queues=nic.nqueues,
+                     lock_contentions=nic.lock.contentions,
+                     lock_contention_cycles=nic.lock.contention_cycles)
+    return stats
 
 
 @dataclass
@@ -540,7 +787,6 @@ def run_http_bench_smp(kernel: "Kernel", kind: str,
     result = SmpHttpBenchResult(kind=kind, nclients=cfg.nclients, cpus=ncpus)
     serving = [0] * ncpus
     digest = hashlib.sha256()
-    total_bytes = 0
     for c in range(ncpus):
         size = sizes[c]
         if size == 0:
@@ -578,33 +824,13 @@ def run_http_bench_smp(kernel: "Kernel", kind: str,
             result.syscalls += sys.total_syscalls - sys0
 
         kernel.sched.switch_to(clients)
-        for fd in client_fds:
-            body = bytearray()
-            while True:
-                chunk = sys.read(fd, 65536)
-                if not chunk:
-                    break
-                body += chunk
-            digest.update(len(body).to_bytes(8, "little"))
-            digest.update(bytes(body))
-            total_bytes += len(body)
+        result.bytes_served += _drain_clients(kernel, client_fds, digest)
         result.requests += server.requests
         result.shard_requests.append(server.requests)
 
-    result.bytes_served = total_bytes
     result.digest = digest.hexdigest()
     result.per_cpu_elapsed = serving
     result.wall_elapsed = max(serving)
     result.total_elapsed = sum(serving)
-    stack = kernel.sys.do_accept.__self__  # the installed SocketLayer
-    result.nic = {
-        "tx_packets": stack.nic.tx_packets,
-        "rx_packets": stack.nic.rx_packets,
-        "tx_bytes": stack.nic.tx_bytes,
-        "interrupts": stack.nic.interrupts,
-        "dropped": stack.nic.dropped,
-        "rx_queues": stack.nic.nqueues,
-        "lock_contentions": stack.nic.lock.contentions,
-        "lock_contention_cycles": stack.nic.lock.contention_cycles,
-    }
+    result.nic = _nic_stats(kernel, smp=True)
     return result
