@@ -232,7 +232,7 @@ def test_net_profiled_smoke(run_once, trace_out):
     and (c) agree with the exact cycle attribution: every category's
     sample share within 10 points of its self-cycle share.  The folded
     stacks and the self-contained flamegraph SVG land in ``--trace-out``
-    (the CI ``prof`` job uploads them as artifacts).
+    (the CI ``observers`` job uploads them as artifacts).
     """
     def measure():
         kernel = fresh_kernel("ramfs", profile=True)

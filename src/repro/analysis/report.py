@@ -188,7 +188,7 @@ def lockdep_report(kernel) -> str:
     by every violation splat; "lockdep: disabled" when the kernel booted
     without a validator (no ``Kernel(lockdep=True)`` / ``REPRO_LOCKDEP``).
     """
-    validator = getattr(kernel, "lockdep", None)
+    validator = kernel.lockdep
     if validator is None:
         return "lockdep: disabled"
     return validator.render()

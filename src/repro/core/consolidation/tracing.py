@@ -1,7 +1,7 @@
 """Syscall tracing: the strace/audit substitute.
 
-A :class:`SyscallTracer` registers with the dispatcher and records every
-:class:`~repro.kernel.syscalls.interface.SyscallRecord`.  The §2.2
+A :class:`SyscallTracer` attaches to the kernel's ``syscall`` hook and records
+every :class:`~repro.kernel.syscalls.interface.SyscallRecord`.  The §2.2
 interactive-workload experiment is pure accounting over such a trace:
 total calls, total bytes crossing the boundary, and per-name histograms.
 """
@@ -9,7 +9,7 @@ total calls, total bytes crossing the boundary, and per-name histograms.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from repro.kernel.syscalls.interface import SyscallRecord
@@ -39,19 +39,20 @@ class SyscallTracer:
     def __init__(self, kernel: "Kernel"):
         self.kernel = kernel
         self.records: list[SyscallRecord] = []
+        self._seq = 0
         self._attached = False
 
     # ------------------------------------------------------------ lifecycle
 
     def attach(self) -> "SyscallTracer":
         if not self._attached:
-            self.kernel.sys.add_tracer(self.records.append)
+            self.kernel.hooks.attach("syscall", self._record)
             self._attached = True
         return self
 
     def detach(self) -> None:
         if self._attached:
-            self.kernel.sys.remove_tracer(self.records.append)
+            self.kernel.hooks.detach("syscall", self._record)
             self._attached = False
 
     def __enter__(self) -> "SyscallTracer":
@@ -60,6 +61,11 @@ class SyscallTracer:
     def __exit__(self, *exc) -> bool:
         self.detach()
         return False
+
+    def _record(self, record: SyscallRecord) -> None:
+        """``syscall`` hook: keep the record, numbered from 1 (``seq``)."""
+        self._seq += 1
+        self.records.append(replace(record, seq=self._seq))
 
     def clear(self) -> None:
         self.records.clear()

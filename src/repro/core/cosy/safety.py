@@ -51,7 +51,7 @@ class CosyProtection(enum.Enum):
 
 
 class CosyWatchdog:
-    """Scheduler hook that kills compounds exceeding their kernel time."""
+    """``preempt`` hook that kills compounds exceeding their kernel time."""
 
     def __init__(self, kernel: "Kernel", max_kernel_cycles: int):
         if max_kernel_cycles <= 0:
@@ -63,12 +63,12 @@ class CosyWatchdog:
 
     def arm(self) -> None:
         if not self._armed:
-            self.kernel.sched.add_preempt_hook(self._on_preempt)
+            self.kernel.hooks.attach("preempt", self._on_preempt)
             self._armed = True
 
     def disarm(self) -> None:
         if self._armed:
-            self.kernel.sched.remove_preempt_hook(self._on_preempt)
+            self.kernel.hooks.detach("preempt", self._on_preempt)
             self._armed = False
 
     def _on_preempt(self, task) -> None:

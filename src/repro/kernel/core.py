@@ -25,6 +25,7 @@ from repro.kernel.clock import Clock
 from repro.kernel.costs import DEFAULT_COSTS, CostModel
 from repro.kernel.cpu import resolve_cpus
 from repro.kernel.faultinject import FaultRegistry, arm_from_env
+from repro.kernel.hooks import Hooks
 from repro.kernel.interrupts import IrqController
 from repro.kernel.locks import SpinLock
 from repro.kernel.memory.kmalloc import KmallocAllocator
@@ -67,6 +68,13 @@ class Kernel:
                  lockdep: bool | None = None,
                  cpus: int | None = None,
                  profile: bool | None = None):
+        #: attach points for in-kernel observers (repro.kernel.hooks),
+        #: first so every lock and observer built below can use them.
+        self.hooks = Hooks()
+        #: compile-time-style switches: newly created locks/refcounts emit
+        #: events when these are set (the §3.3 "instrumented kernel" builds).
+        self.instrument_all_locks = False
+        self.instrument_all_refcounts = False
         self.costs = costs if costs is not None else DEFAULT_COSTS
         #: simulated CPU count (docs/SMP.md): explicit argument wins, then
         #: REPRO_CPUS, then 1.  cpus=1 is bit-identical to the pre-SMP
@@ -84,18 +92,16 @@ class Kernel:
         self.syslog = Syslog(clock=self.clock, tracer=self.trace)
         #: kernel-wide failpoint registry; dormant until an injection arms it.
         self.faults = FaultRegistry(self, metrics=self.metrics)
-        #: lock dependency validator (repro.safety.lockdep); None = compiled
-        #: out (every hook site is a getattr-and-None-check, zero cycles).
+        #: lock dependency validator (repro.safety.lockdep), subscribed to
+        #: the lock, sleep and IRQ-context hooks; None = not booted.
         #: ``lockdep=True`` records violations; booting under REPRO_LOCKDEP=1
         #: is strict — the first violation raises LockdepError.  An explicit
         #: argument wins over the environment (so self-tests of known-bad
         #: patterns can record under a strict CI run).
-        if lockdep is None:
-            self.lockdep = LockdepValidator(self, strict=True) \
-                if os.environ.get(ENV_LOCKDEP) else None
-        else:
-            self.lockdep = LockdepValidator(self, strict=False) \
-                if lockdep else None
+        strict = lockdep is None
+        if strict:
+            lockdep = bool(os.environ.get(ENV_LOCKDEP))
+        self.lockdep = LockdepValidator(self, strict=strict) if lockdep else None
         #: CPU interrupt-enable state (local_irq_save/restore nesting).
         self.irq = IrqController(self)
         self.physmem = PhysicalMemory(ram_bytes)
@@ -123,23 +129,19 @@ class Kernel:
         self.sched = Scheduler(self)
         self.sys = SyscallInterface(self)
         #: sampling profiler + latency tracers (docs/PROFILING.md);
-        #: dormant (zero charge-path cost) until enabled.  Like the
-        #: tracer, it only ever *reads* the clock: booting with
-        #: ``profile=True`` / ``REPRO_PROF=1`` must not move the
-        #: simulated clock by a single cycle.
+        #: dormant (zero charge-path cost, no hooks attached) until
+        #: enabled.  Like the tracer, it only ever *reads* the clock:
+        #: booting with ``profile=True`` / ``REPRO_PROF=1`` must not move
+        #: the simulated clock by a single cycle.
         self.prof = Profiler(self)
         self._register_prof_counters()
         self.kma = KmallocFacade(self)
         self.tasks: list[Task] = []
         #: event dispatcher socket (§3.3); None = instrumentation compiled out.
         self.event_hook: EventHook | None = None
-        #: compile-time-style switches: newly created locks/refcounts emit
-        #: events when these are set (the §3.3 "instrumented kernel" builds).
-        self.instrument_all_locks = False
-        self.instrument_all_refcounts = False
         # CI smoke mode: REPRO_FAULT_SEED arms a seeded low-rate schedule.
         arm_from_env(self.faults)
-        # CI trace mode: REPRO_TRACE=1 boots with tracing enabled, which
+        # Trace mode: REPRO_TRACE=1 boots with tracing enabled, which
         # must not move the simulated clock by a single cycle.
         if os.environ.get(ENV_TRACE):
             self.trace.enable()

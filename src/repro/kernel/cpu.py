@@ -18,7 +18,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.locks import SpinLock
     from repro.kernel.process import Task
 
-#: environment knob: default CPU count for every booted kernel (CI smp job).
+#: environment knob: default CPU count for every booted kernel (CI observers job).
 ENV_CPUS = "REPRO_CPUS"
 
 #: sanity ceiling — the simulation is O(cpus) in several per-CPU sweeps.

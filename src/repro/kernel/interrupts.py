@@ -44,7 +44,7 @@ class IrqController:
         self.kernel = kernel
         self.instrumented = instrumented
         self.toggles = 0
-        ncpus = getattr(kernel, "ncpus", 1)
+        ncpus = kernel.ncpus
         self._depths: list[int] | None = [0] * ncpus if ncpus > 1 else None
         self._depth = 0
 
@@ -60,24 +60,18 @@ class IrqController:
         return self.disable_depth == 0
 
     def local_irq_disable(self, site: str = "?") -> None:
-        self.kernel.clock.charge(IRQ_TOGGLE_COST, Mode.SYSTEM)
+        clock = self.kernel.clock
+        clock.charge(IRQ_TOGGLE_COST, Mode.SYSTEM)
+        cpu = clock.cpu
         if self._depths is None:
             self._depth += 1
             depth = self._depth
         else:
-            cpu = self.kernel.clock.cpu
             self._depths[cpu] += 1
             depth = self._depths[cpu]
-        if depth == 1:
-            # irqsoff tracer: the section starts at the 0->1 transition.
-            prof = getattr(self.kernel, "prof", None)
-            if prof is not None and prof.enabled:
-                clock = self.kernel.clock
-                prof.irq_disabled(clock.cpu, clock.local_now())
         self.toggles += 1
-        ld = getattr(self.kernel, "lockdep", None)
-        if ld is not None:
-            ld.irq_disable()
+        for fn in self.kernel.hooks.irq_disable:
+            fn(cpu, depth)
         if self.instrumented:
             self.kernel.log_event(self, EV_IRQ_DISABLE, site)
 
@@ -85,24 +79,18 @@ class IrqController:
         if self.disable_depth == 0:
             raise InvariantViolation(
                 "irq-balanced", f"enable with interrupts already on (at {site})")
-        self.kernel.clock.charge(IRQ_TOGGLE_COST, Mode.SYSTEM)
+        clock = self.kernel.clock
+        clock.charge(IRQ_TOGGLE_COST, Mode.SYSTEM)
+        cpu = clock.cpu
         if self._depths is None:
             self._depth -= 1
             depth = self._depth
         else:
-            cpu = self.kernel.clock.cpu
             self._depths[cpu] -= 1
             depth = self._depths[cpu]
-        if depth == 0:
-            # irqsoff tracer: the section ends at the 1->0 transition.
-            prof = getattr(self.kernel, "prof", None)
-            if prof is not None and prof.enabled:
-                clock = self.kernel.clock
-                prof.irq_enabled(clock.cpu, clock.local_now())
         self.toggles += 1
-        ld = getattr(self.kernel, "lockdep", None)
-        if ld is not None:
-            ld.irq_enable()
+        for fn in self.kernel.hooks.irq_enable:
+            fn(cpu, depth)
         if self.instrumented:
             self.kernel.log_event(self, EV_IRQ_ENABLE, site)
 
@@ -151,12 +139,12 @@ class TimerInterrupt:
 
     def arm(self) -> None:
         if not self._armed:
-            self.kernel.sched.add_preempt_hook(self._on_preempt)
+            self.kernel.hooks.attach("preempt", self._on_preempt)
             self._armed = True
 
     def disarm(self) -> None:
         if self._armed:
-            self.kernel.sched.remove_preempt_hook(self._on_preempt)
+            self.kernel.hooks.detach("preempt", self._on_preempt)
             self._armed = False
 
     def _on_preempt(self, task) -> None:
@@ -169,13 +157,13 @@ class TimerInterrupt:
         """One tick: IRQ entry, handlers with interrupts off, IRQ exit."""
         self.fires += 1
         self.kernel.clock.charge(IRQ_DISPATCH_COST, Mode.SYSTEM)
-        ld = getattr(self.kernel, "lockdep", None)
-        if ld is not None:
-            ld.hardirq_enter()
+        hooks = self.kernel.hooks
+        for fn in hooks.hardirq_enter:
+            fn()
         try:
             with self.irq.irqs_off("timer:tick"):
                 for handler in self.handlers:
                     handler()
         finally:
-            if ld is not None:
-                ld.hardirq_exit()
+            for fn in hooks.hardirq_exit:
+                fn()

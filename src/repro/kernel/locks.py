@@ -59,8 +59,7 @@ class SpinLock:
                  instrumented: bool = False, charge: bool = True):
         self.kernel = kernel
         self.name = name
-        self.instrumented = instrumented or getattr(
-            kernel, "instrument_all_locks", False)
+        self.instrumented = instrumented or kernel.instrument_all_locks
         self.charged = charge
         self.held = False
         self.holder_pid: int | None = None
@@ -90,9 +89,8 @@ class SpinLock:
                 "spinlock-no-recursion",
                 f"'{self.name}' re-acquired while held (at {site})",
             )
-        ld = getattr(self.kernel, "lockdep", None)
-        if ld is not None:
-            ld.acquire(self, "spin", site, subclass=subclass)
+        for fn in self.kernel.hooks.lock_acquire:
+            fn(self, "spin", site, subclass)
         clock = self.kernel.clock
         if self.charged:
             if self.kernel.faults.should_fail(
@@ -107,7 +105,7 @@ class SpinLock:
                 if tracer.enabled:
                     tracer.complete("lock:contention", "lock", spin,
                                     lock=self.name, site=site)
-            if getattr(self.kernel, "ncpus", 1) > 1 and \
+            if self.kernel.ncpus > 1 and \
                     self._last_unlock_cpu is not None and \
                     self._last_unlock_cpu != clock.cpu:
                 # Cross-CPU contention: the previous holder ran on another
@@ -148,14 +146,13 @@ class SpinLock:
                 "spinlock-balanced",
                 f"'{self.name}' released while not held (at {site})",
             )
-        ld = getattr(self.kernel, "lockdep", None)
-        if ld is not None:
-            ld.release(self, "spin", site, subclass=subclass)
+        for fn in self.kernel.hooks.lock_release:
+            fn(self, "spin", site, subclass)
         clock = self.kernel.clock
         if self.charged:
             clock.charge(self.kernel.costs.spinlock_pair -
                          self.kernel.costs.spinlock_pair // 2)
-            if getattr(self.kernel, "ncpus", 1) > 1:
+            if self.kernel.ncpus > 1:
                 self._last_unlock_cpu = clock.cpu
                 self._last_unlock_local = clock.local_now()
                 self._last_hold_cycles = max(
@@ -222,13 +219,13 @@ class Semaphore:
         return self._wq
 
     def down(self, site: str = "?", *, subclass: int = 0) -> None:
-        ld = getattr(self.kernel, "lockdep", None)
-        if ld is not None:
-            if self._mutex_like:
-                ld.acquire(self, "sleep", site, subclass=subclass)
-            else:
-                ld.might_sleep(site, what=f"down() on semaphore "
-                                          f"'{self.name}'")
+        hooks = self.kernel.hooks
+        if self._mutex_like:
+            for fn in hooks.lock_acquire:
+                fn(self, "sleep", site, subclass)
+        else:
+            for fn in hooks.might_sleep:
+                fn(site, f"down() on semaphore '{self.name}'")
         if self.count == 0:
             # Contended: sleep on the wait queue until the holder's up().
             self.contended += 1
@@ -243,9 +240,9 @@ class Semaphore:
             self.kernel.log_event(self, EV_SEM_DOWN, site)
 
     def up(self, site: str = "?", *, subclass: int = 0) -> None:
-        ld = getattr(self.kernel, "lockdep", None)
-        if ld is not None and self._mutex_like:
-            ld.release(self, "sleep", site, subclass=subclass)
+        if self._mutex_like:
+            for fn in self.kernel.hooks.lock_release:
+                fn(self, "sleep", site, subclass)
         self.count += 1
         if self._wq is not None and self._wq.waiters:
             self._wq.wake_all(site)

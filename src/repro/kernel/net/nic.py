@@ -77,8 +77,8 @@ class Nic:
                  deliver: str = "irq", queues: int = 1):
         if deliver not in ("irq", "tick"):
             raise ValueError(f"unknown delivery mode {deliver!r}")
-        ncpus = getattr(kernel, "ncpus", 1)
-        if not 1 <= queues <= max(ncpus, 1):
+        ncpus = kernel.ncpus
+        if not 1 <= queues <= ncpus:
             raise ValueError(
                 f"queues must be in 1..{ncpus} (got {queues})")
         self.kernel = kernel
@@ -146,11 +146,6 @@ class Nic:
         self._c_dropped.inc(n)
 
     @property
-    def rx_ring(self) -> deque[Packet]:
-        """Queue 0's RX ring (the only ring on single-queue devices)."""
-        return self.rx_rings[0]
-
-    @property
     def pending(self) -> int:
         """Packets queued in any ring (in flight on the 'wire')."""
         return len(self.tx_ring) + sum(len(r) for r in self.rx_rings)
@@ -216,7 +211,7 @@ class Nic:
         progressed = False
         clock = self.kernel.clock
         tracer = self.kernel.trace
-        ld = getattr(self.kernel, "lockdep", None)
+        hooks = self.kernel.hooks
         multiq = self.nqueues > 1
         try:
             while self.tx_ring or any(self.rx_rings):
@@ -229,8 +224,8 @@ class Nic:
                         tracer.complete("net:hardirq", "net",
                                         IRQ_DISPATCH_COST,
                                         packets=len(self.tx_ring))
-                    if ld is not None:
-                        ld.hardirq_enter()
+                    for fn in hooks.hardirq_enter:
+                        fn()
                     try:
                         overflowed: list[Packet] = []
                         with self.irq.irqs_off("nic:hardirq"):
@@ -248,8 +243,8 @@ class Nic:
                                 self.stack.drop_packet(pkt,
                                                        "rx-ring-overflow")
                     finally:
-                        if ld is not None:
-                            ld.hardirq_exit()
+                        for fn in hooks.hardirq_exit:
+                            fn()
                 # Softirq: drain each queue's RX ring into socket queues,
                 # on the queue's own CPU when the device is multiqueue.
                 for q in range(self.nqueues):
@@ -270,14 +265,14 @@ class Nic:
         clock = self.kernel.clock
         costs = self.kernel.costs
         tracer = self.kernel.trace
-        ld = getattr(self.kernel, "lockdep", None)
+        hooks = self.kernel.hooks
         ring = self.rx_rings[q]
         progressed = False
         traced = ring and tracer.enabled
         if traced:
             tracer.begin("net:softirq", "net", packets=len(ring))
-        if ld is not None:
-            ld.softirq_enter()
+        for fn in hooks.softirq_enter:
+            fn()
         try:
             if ring:
                 clock.charge(costs.softirq_entry, Mode.SYSTEM)
@@ -299,8 +294,8 @@ class Nic:
                 self.stack.deliver(pkt)
                 progressed = True
         finally:
-            if ld is not None:
-                ld.softirq_exit()
+            for fn in hooks.softirq_exit:
+                fn()
             if traced:
                 tracer.end()
         return progressed

@@ -27,8 +27,7 @@ class RefCount:
         self.kernel = kernel
         self.name = name
         self.value = initial
-        self.instrumented = instrumented or getattr(
-            kernel, "instrument_all_refcounts", False)
+        self.instrumented = instrumented or kernel.instrument_all_refcounts
         self.incs = 0
         self.decs = 0
 

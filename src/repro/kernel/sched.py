@@ -3,13 +3,13 @@
 The simulation is cooperative (syscalls run inline), so "preemption" here
 means: at preemption points (syscall dispatch, long in-kernel loops such as
 Cosy compound execution), the scheduler checks whether the quantum expired
-and, if so, charges a context switch, flushes the TLB, and runs the
-registered *preempt hooks*.
+and, if so, charges a context switch, flushes the TLB, and fires the
+kernel's ``preempt`` hook point (:mod:`repro.kernel.hooks`).
 
 Cosy's safety design (§2.3) hangs off exactly this mechanism: "a preemptive
 kernel ... checks the running time of a Cosy process inside the kernel every
 time it is scheduled out", killing compounds that exceed their kernel-time
-budget.  The Cosy kernel extension registers such a hook.
+budget.  The Cosy watchdog attaches to that point.
 
 SMP (docs/SMP.md): each simulated CPU owns a :class:`~repro.kernel.cpu.Cpu`
 record with its own runqueue and current task.  Tasks are placed on the CPU
@@ -27,7 +27,7 @@ target CPU's local clock.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.kernel.clock import Mode
 from repro.kernel.cpu import Cpu
@@ -36,8 +36,6 @@ from repro.kernel.process import Task, TaskState
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.core import Kernel
-
-PreemptHook = Callable[[Task], None]
 
 
 class WaitQueue:
@@ -63,9 +61,8 @@ class WaitQueue:
         """Block the current task until the next :meth:`wake_all`."""
         kernel = self.kernel
         task = kernel.current
-        ld = getattr(kernel, "lockdep", None)
-        if ld is not None:
-            ld.might_sleep(site, what=f"sleeping on wait queue '{self.name}'")
+        for fn in kernel.hooks.might_sleep:
+            fn(site, f"sleeping on wait queue '{self.name}'")
         tracer = kernel.trace
         traced = tracer.enabled
         if traced:
@@ -98,7 +95,7 @@ class Scheduler:
 
     def __init__(self, kernel: "Kernel"):
         self.kernel = kernel
-        ncpus = getattr(kernel, "ncpus", 1)
+        ncpus = kernel.ncpus
         self.ncpus = ncpus
         self.cpus: list[Cpu] = [Cpu(c) for c in range(ncpus)]
         if ncpus > 1:
@@ -107,7 +104,6 @@ class Scheduler:
                 # Zero-cost: the rq critical section is priced into
                 # context_switch; the lock exists for lockdep coverage.
                 cpu.rq_lock = SpinLock(kernel, "runqueue_lock", charge=False)
-        self.preempt_hooks: list[PreemptHook] = []
         # sched.* counters live in per-CPU metrics shards (summed classic
         # view); the attribute names below stay read-compatible.
         metrics = kernel.metrics
@@ -197,7 +193,7 @@ class Scheduler:
 
     def remove_task(self, task: Task) -> None:
         task.state = TaskState.ZOMBIE
-        st = self.cpus[getattr(task, "cpu", 0)]
+        st = self.cpus[task.cpu]
         if task in st.runqueue:
             st.runqueue.remove(task)
         if st.current is task:
@@ -213,7 +209,7 @@ class Scheduler:
         """
         kernel = self.kernel
         clock = kernel.clock
-        c = getattr(task, "cpu", 0)
+        c = task.cpu
         st = self.cpus[c]
         if c != clock.cpu:
             clock.set_cpu(c)
@@ -246,7 +242,7 @@ class Scheduler:
     def _note_scheduled(self, task: Task, clock) -> None:
         """Record ``task``'s READY->RUNNING delay: into the kernel-wide
         ``sched.delay`` histogram, the task's own (tenant SLO) histogram
-        if one is attached, and the profiler's wakeup tracer when armed."""
+        if one is attached, and the ``sched_wakeup`` hook point."""
         t0 = task.last_ready
         if t0 is None:
             return
@@ -256,9 +252,8 @@ class Scheduler:
         h = task.sched_delay
         if h is not None:
             h.observe(delay)
-        prof = getattr(self.kernel, "prof", None)
-        if prof is not None and prof.enabled:
-            prof.sched_wakeup(task, delay)
+        for fn in self.kernel.hooks.sched_wakeup:
+            fn(task, delay)
 
     # ----------------------------------------------------------------- SMP
 
@@ -332,17 +327,11 @@ class Scheduler:
 
     # --------------------------------------------------------- preemption
 
-    def add_preempt_hook(self, hook: PreemptHook) -> None:
-        self.preempt_hooks.append(hook)
-
-    def remove_preempt_hook(self, hook: PreemptHook) -> None:
-        self.preempt_hooks.remove(hook)
-
     def maybe_preempt(self) -> bool:
         """Preemption point.  Returns True if the quantum expired.
 
-        Hooks run with the outgoing task — this is the moment the Cosy
-        watchdog examines the task's in-kernel time.
+        An expired quantum fires ``preempt`` with the outgoing task — the
+        moment the Cosy watchdog examines the task's in-kernel time.
 
         The simulation executes tasks cooperatively (workload code *is* the
         current task), so an expired quantum does not hand control to other
@@ -357,12 +346,8 @@ class Scheduler:
         clock = kernel.clock
         st = self.cpus[clock.cpu]
         now = clock.local_now()
-        prof = getattr(kernel, "prof", None)
-        if prof is not None and prof.enabled:
-            # preemptoff tracer: each visit here is a preemption
-            # opportunity; the gap since the previous one is how long
-            # this CPU could not reschedule.
-            prof.preempt_point(clock.cpu, now)
+        for fn in kernel.hooks.preempt_point:
+            fn(clock.cpu, now)
         # Injected "preemption": the quantum is treated as already expired.
         forced = kernel.faults.should_fail("sched.preempt", "tick") is not None
         if not forced and now - st.last_switch < kernel.costs.sched_quantum:
@@ -376,8 +361,8 @@ class Scheduler:
             self._preempts.inc()
             task = st.current
             if task is not None:
-                for hook in list(self.preempt_hooks):
-                    hook(task)
+                for fn in kernel.hooks.preempt:
+                    fn(task)
             others_ready = any(t is not task and t.state == TaskState.READY
                                for t in st.runqueue)
             if others_ready:

@@ -2,9 +2,10 @@
 
 Public methods (``read``, ``open``, ...) are what *user programs* call; each
 pays the libc-stub cost, the trap cost, and dispatch overhead, then runs the
-``do_*`` handler in kernel mode, emits a trace record, and hits a preemption
-point.  The ``do_*`` handlers themselves are importable by the Cosy kernel
-extension, which is how compound execution legally skips the boundary costs.
+``do_*`` handler in kernel mode, fires the ``syscall`` hook, and hits a
+preemption point.  The ``do_*`` handlers themselves are importable by the Cosy
+kernel extension, which is how compound execution legally skips the boundary
+costs.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass(frozen=True)
 class SyscallRecord:
-    """One traced syscall invocation (the §2.2 strace/audit substitute)."""
+    """One traced syscall invocation (the §2.2 strace/audit substitute);
+    ``seq`` is 0 until a ``SyscallTracer`` numbers the records it keeps."""
 
     seq: int
     pid: int
@@ -44,26 +46,13 @@ class SyscallRecord:
         return self.bytes_to_user + self.bytes_from_user
 
 
-Tracer = Callable[[SyscallRecord], None]
-
-
 class SyscallInterface(FileOpsMixin, DirOpsMixin, ConsolidatedMixin):
     """The syscall table, bound to one kernel instance."""
 
     def __init__(self, kernel: "Kernel"):
         self.kernel = kernel
         self.ucopy = UserCopy(kernel)
-        self.tracers: list[Tracer] = []
-        self._seq = 0
         self.total_syscalls = 0
-
-    # ------------------------------------------------------------- tracing
-
-    def add_tracer(self, tracer: Tracer) -> None:
-        self.tracers.append(tracer)
-
-    def remove_tracer(self, tracer: Tracer) -> None:
-        self.tracers.remove(tracer)
 
     # ------------------------------------------------------------ dispatch
 
@@ -112,23 +101,18 @@ class SyscallInterface(FileOpsMixin, DirOpsMixin, ConsolidatedMixin):
         finally:
             clock.pop_mode()
             task.stime += clock.system - start_system
-            prof = getattr(kernel, "prof", None)
-            if prof is not None and prof.enabled:
-                # per-syscall-number latency histogram: trap to return
-                prof.observe_syscall(name, syscall_nr(name),
-                                     clock.now - start)
-            if self.tracers:
+            subscribers = kernel.hooks.syscall
+            if subscribers:
                 delta = self.ucopy.stats.since(copy_snap)
-                self._seq += 1
                 record = SyscallRecord(
-                    seq=self._seq, pid=task.pid, nr=syscall_nr(name), name=name,
+                    seq=0, pid=task.pid, nr=syscall_nr(name), name=name,
                     args=args, start_cycles=start,
                     duration_cycles=clock.now - start,
                     bytes_to_user=delta.to_user_bytes,
                     bytes_from_user=delta.from_user_bytes, errno=errno,
                 )
-                for t in self.tracers:
-                    t(record)
+                for fn in subscribers:
+                    fn(record)
             kernel.sched.maybe_preempt()
             if traced:
                 tracer.end(errno=errno)

@@ -100,10 +100,6 @@ class AdaptiveKefence:
     def reports(self):
         return self.kefence.reports
 
-    def protection_rate(self) -> float:
-        total = self.guarded_allocs + self.plain_allocs
-        return self.guarded_allocs / total if total else 1.0
-
     def site_status(self, site: str) -> str:
         if site in self.pinned_sites:
             return "pinned-protected"

@@ -47,12 +47,6 @@ class OptimizeReport:
     def checks_after(self) -> int:
         return self.checks_before - self.checks_removed
 
-    @property
-    def removed_fraction(self) -> float:
-        if self.checks_before == 0:
-            return 0.0
-        return self.checks_removed / self.checks_before
-
 
 def _count_checks(program: ast.Program) -> int:
     return sum(1 for node in ast.walk(program) if isinstance(node, ast.Check))

@@ -60,10 +60,6 @@ class SelectiveReport:
     #: the pattern (e.g. "refcont*"); surfaced via syslog as well
     unmatched_rules: list["Rule"] = field(default_factory=list)
 
-    @property
-    def checks_disabled(self) -> int:
-        return self.checks_total - self.checks_kept
-
 
 def _base_variable(expr: ast.Expr) -> str | None:
     """The identifier a checked expression ultimately reads through."""

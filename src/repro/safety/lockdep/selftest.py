@@ -8,7 +8,7 @@ with throwaway locks, and checks that exactly the expected violation kind
 was reported — plus "good" cases that must stay silent.
 
 ``run_selftests()`` returns the results; ``tests/safety/test_lockdep.py``
-asserts every case passes, and the CI ``lockdep`` job runs them too.
+asserts every case passes, and the CI ``observers`` job runs them too.
 """
 
 from __future__ import annotations

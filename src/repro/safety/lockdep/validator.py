@@ -30,10 +30,9 @@ import os
 from typing import TYPE_CHECKING
 
 from repro.safety.lockdep.classes import (CTX_HARDIRQ, CTX_NAMES, CTX_PROCESS,
-                                          CTX_SOFTIRQ, ENABLED_IRQ, KIND_SLEEP,
-                                          KIND_SPIN, USED_IN_HARDIRQ,
-                                          USED_IN_SOFTIRQ, DepEdge, HeldLock,
-                                          LockClass)
+                                          CTX_SOFTIRQ, ENABLED_IRQ, KIND_SPIN,
+                                          USED_IN_HARDIRQ, USED_IN_SOFTIRQ,
+                                          DepEdge, HeldLock, LockClass)
 from repro.safety.lockdep.report import (DEADLOCK, IRQ_INVERSION,
                                          IRQ_UNSAFE_DEP, RECURSION,
                                          RELEASE_NOT_HELD, RELEASE_ORDER,
@@ -49,12 +48,18 @@ ENV_LOCKDEP_OUT = "REPRO_LOCKDEP_OUT"
 
 _USAGE_LABEL = {USED_IN_HARDIRQ: "hardirq", USED_IN_SOFTIRQ: "softirq"}
 
+#: kernel hook points the validator subscribes to, one method each
+HOOK_POINTS = ("lock_acquire", "lock_release", "might_sleep", "irq_disable",
+               "irq_enable", "hardirq_enter", "hardirq_exit",
+               "softirq_enter", "softirq_exit")
+
 
 class LockdepValidator:
     """Kernel-wide lock-order / irq-safety / atomicity validator.
 
     One per kernel (``kernel.lockdep``), or ``None`` when validation is
-    compiled out — every hook site guards with ``if ld is not None``.
+    off; the constructor subscribes it to the kernel hook points in
+    :data:`HOOK_POINTS` (:mod:`repro.kernel.hooks`).
     """
 
     def __init__(self, kernel: "Kernel", *, strict: bool = False):
@@ -86,6 +91,8 @@ class LockdepValidator:
                       help="acquisitions validated")
         metrics.gauge("lockdep.held_max", fn=lambda: self.max_held,
                       help="deepest held-lock stack observed")
+        for point in HOOK_POINTS:
+            kernel.hooks.attach(point, getattr(self, point))
 
     # ----------------------------------------------------------- wiring
 
@@ -145,15 +152,15 @@ class LockdepValidator:
     def softirq_exit(self) -> None:
         self.softirq_depth -= 1
 
-    def irq_disable(self) -> None:
+    def irq_disable(self, cpu: int, depth: int) -> None:
         self.irqoff_depth += 1
 
-    def irq_enable(self) -> None:
+    def irq_enable(self, cpu: int, depth: int) -> None:
         self.irqoff_depth -= 1
 
     # --------------------------------------------------------- acquisition
 
-    def acquire(self, lock, kind: str, site: str, *, subclass: int = 0) -> None:
+    def lock_acquire(self, lock, kind: str, site: str, subclass: int = 0) -> None:
         """Validate one acquisition and push it on the holder's stack."""
         name = lock.name if not subclass else f"{lock.name}/{subclass}"
         cls = self._class(name, kind)
@@ -199,7 +206,7 @@ class LockdepValidator:
         if len(stack) > self.max_held:
             self.max_held = len(stack)
 
-    def release(self, lock, kind: str, site: str, *, subclass: int = 0) -> None:
+    def lock_release(self, lock, kind: str, site: str, subclass: int = 0) -> None:
         """Pop an acquisition; spinlocks must release in LIFO order."""
         name = lock.name if not subclass else f"{lock.name}/{subclass}"
         stack = self._stack()

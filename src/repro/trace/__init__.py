@@ -30,7 +30,7 @@ from repro.trace.tracepoints import (DEFAULT_CAPACITY, PH_BEGIN, PH_COMPLETE,
                                      PH_COUNTER, PH_END, PH_INSTANT,
                                      TraceEvent, Tracer)
 
-#: environment knob: boot kernels with tracing enabled (CI identity job).
+#: environment knob: boot kernels with tracing enabled.
 ENV_TRACE = "REPRO_TRACE"
 #: environment knob: benchmark trace/attribution output directory.
 ENV_TRACE_OUT = "REPRO_TRACE_OUT"

@@ -10,7 +10,7 @@ the attribution is a complete decomposition::
     sum(self_cycles over all spans) + untraced_cycles == window_cycles
                                                       == Δ(user+system+iowait)
 
-which is asserted by ``tests/trace/`` and the CI trace job.  Reports are
+which is asserted by ``tests/trace/`` and the CI observers job.  Reports are
 diffable: :meth:`Attribution.diff` explains *why* one run was faster than
 another, span by span.
 """

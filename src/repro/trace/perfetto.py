@@ -49,7 +49,7 @@ def chrome_trace(tracer: Tracer, *, process_name: str = "repro-kernel",
         {"ph": "M", "name": "process_name", "pid": 0, "tid": 0,
          "args": {"name": process_name}},
     ]
-    for c in range(getattr(tracer, "ncpus", 1)):
+    for c in range(tracer.ncpus):
         events.append({"ph": "M", "name": "thread_name", "pid": 0, "tid": c,
                        "args": {"name": f"cpu{c}"}})
     for ph, name, cat, ts, dur, args, cpu in tracer.events():

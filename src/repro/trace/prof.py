@@ -33,7 +33,7 @@ The hard constraint, inherited from the tracer: **zero cost-model
 impact**.  Nothing here ever charges the simulated clock — every hook
 only *reads* it — so the same workload profiled and unprofiled lands on
 bit-identical user/system/iowait counts (``tests/trace/test_prof.py``;
-the CI ``prof`` job re-runs the kernel suites under ``REPRO_PROF=1``).
+the CI ``observers`` job re-runs the kernel suites under ``REPRO_PROF=1``).
 
 Charge-time samples see the *innermost open span*, which is exactly that
 span's self time — but retroactive ``complete`` events (a TLB miss, one
@@ -76,6 +76,10 @@ S_CPU, S_TS, S_PID, S_TASK, S_TENANT, S_STACK, S_CAT, S_CMINUS, S_WEIGHT = \
 
 #: folded-stack frame used for samples taken outside any span
 UNTRACED_FRAME = "(untraced)"
+
+#: kernel hook points the latency tracers subscribe to, one method each
+HOOK_POINTS = ("irq_disable", "irq_enable", "sched_wakeup", "preempt_point",
+               "syscall")
 
 
 def resolve_period(period: int | None = None) -> int:
@@ -127,8 +131,7 @@ class Profiler:
 
     Built for every kernel but dormant until :meth:`enable` — a disabled
     profiler costs nothing on the charge path (the clock's sampler slot
-    stays ``None``) and one ``getattr``-and-``None``-check at the tracer
-    hook sites.
+    stays ``None``) and is attached to none of the :data:`HOOK_POINTS`.
     """
 
     def __init__(self, kernel: "Kernel", period: int | None = None,
@@ -176,12 +179,18 @@ class Profiler:
             self._deadlines[c] = clock.local_now(c) + self.period
             self._last_preempt_point[c] = None
             self._irq_off_since[c] = None
+        if not self.enabled:
+            for point in HOOK_POINTS:
+                self.kernel.hooks.attach(point, getattr(self, point))
         self.enabled = True
         clock._sampler = self
         self.kernel.trace._prof = self
 
     def disable(self) -> None:
         """Disarm; collected samples and histograms stay readable."""
+        if self.enabled:
+            for point in HOOK_POINTS:
+                self.kernel.hooks.detach(point, getattr(self, point))
         self.enabled = False
         if self.clock._sampler is self:
             self.clock._sampler = None
@@ -219,7 +228,7 @@ class Profiler:
             cpu, now,
             task.pid if task is not None else None,
             task.name if task is not None else "(idle)",
-            getattr(task, "tenant", "") if task is not None else "",
+            task.tenant if task is not None else "",
             names, cat, cminus, weight,
         ])
         self.sample_events += 1
@@ -259,23 +268,25 @@ class Profiler:
         return tuple(f[0] for f in self.kernel.trace._stacks[cpu][1:])
 
     def sched_wakeup(self, task, delay: int) -> None:
-        """Scheduler hook: ``task`` just went READY→RUNNING after
+        """``sched_wakeup`` hook: ``task`` just went READY→RUNNING after
         ``delay`` cycles on the runqueue."""
         self.wakeup_delay.observe(delay)
         cpu = self.clock.cpu
         self.wakeup_max.offer(delay, self.clock.local_now(cpu), cpu,
                               task.pid, task.name, self._stack_at(cpu))
 
-    def irq_disabled(self, cpu: int, now: int) -> None:
-        """IRQ hook: disable depth went 0→1 on ``cpu``."""
-        self._irq_off_since[cpu] = now
+    def irq_disable(self, cpu: int, depth: int) -> None:
+        """``irq_disable`` hook: an irqsoff section starts at 0→1."""
+        if depth == 1:
+            self._irq_off_since[cpu] = self.clock.local_now(cpu)
 
-    def irq_enabled(self, cpu: int, now: int) -> None:
-        """IRQ hook: disable depth went 1→0 on ``cpu``."""
+    def irq_enable(self, cpu: int, depth: int) -> None:
+        """``irq_enable`` hook: the irqsoff section ends at 1→0."""
         start = self._irq_off_since[cpu]
-        if start is None:
+        if depth or start is None:
             return
         self._irq_off_since[cpu] = None
+        now = self.clock.local_now(cpu)
         dur = now - start
         self.irqsoff.observe(dur)
         task = self.kernel.sched.cpus[cpu].current
@@ -286,8 +297,8 @@ class Profiler:
             self._stack_at(cpu))
 
     def preempt_point(self, cpu: int, now: int) -> None:
-        """Scheduler hook: a preemption opportunity on ``cpu``.  The gap
-        since the previous one is how long preemption was impossible."""
+        """``preempt_point`` hook: a preemption opportunity on ``cpu``.  The
+        gap since the previous one is how long preemption was impossible."""
         last = self._last_preempt_point[cpu]
         self._last_preempt_point[cpu] = now
         if last is None:
@@ -301,13 +312,14 @@ class Profiler:
             task.name if task is not None else "(idle)",
             self._stack_at(cpu))
 
-    def observe_syscall(self, name: str, nr: int, cycles: int) -> None:
-        """Dispatch hook: one syscall took ``cycles`` (trap to return)."""
+    def syscall(self, record) -> None:
+        """``syscall`` hook: per-syscall latency, trap to return."""
+        name = record.name
         h = self.syscall_lat.get(name)
         if h is None:
             h = self.syscall_lat[name] = Histogram(f"prof.syscall.{name}")
-            self.syscall_nrs[name] = nr
-        h.observe(cycles)
+            self.syscall_nrs[name] = record.nr
+        h.observe(record.duration_cycles)
 
     # -------------------------------------------------------------- queries
 

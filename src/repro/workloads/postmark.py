@@ -54,12 +54,6 @@ class PostMarkResult:
     timings: Timings
     dcache_lock_hits: int
 
-    @property
-    def tps(self) -> float:
-        """Transactions per simulated second."""
-        return self.transactions / self.timings.elapsed \
-            if self.timings.elapsed else 0.0
-
 
 class PostMark:
     """One PostMark run against a kernel."""

@@ -9,9 +9,8 @@ from repro.kernel import Kernel
 from repro.kernel.fs import RamfsSuperBlock
 from repro.kernel.interrupts import TimerInterrupt
 from repro.kernel.net import (EPOLL_CTL_ADD, EPOLL_CTL_DEL, EPOLLHUP,
-                              EPOLLIN, EV_SOCK_ACCEPT, EV_SOCK_CLOSE,
-                              EV_SOCK_DROP, MTU, SHUT_WR, SocketLayer,
-                              SockState)
+                              EPOLLIN, EV_SOCK_ACCEPT, EV_SOCK_CLOSE, MTU,
+                              SHUT_WR, SocketLayer)
 from repro.kernel.vfs import O_CREAT, O_WRONLY
 from repro.safety.monitor import EventDispatcher, SocketMonitor
 
@@ -285,7 +284,7 @@ def test_sendfile_epipe_when_peer_closes_mid_transfer(k, stack):
         if src_inode.bytes_sent >= 65536 and not dst_inode.closed:
             dst_inode.close_endpoint()
 
-    k.sched.add_preempt_hook(close_reader_after_first_chunk)
+    k.hooks.attach("preempt", close_reader_after_first_chunk)
     try:
         src = k.sys.open("/big", 0)
         with k.faults.inject("sched.preempt", every=1):
@@ -294,7 +293,7 @@ def test_sendfile_epipe_when_peer_closes_mid_transfer(k, stack):
         assert ei.value.errno == EPIPE
         assert 0 < src_inode.bytes_sent < len(payload)  # truly mid-transfer
     finally:
-        k.sched.remove_preempt_hook(close_reader_after_first_chunk)
+        k.hooks.detach("preempt", close_reader_after_first_chunk)
 
 
 # -------------------------------------------------------------- readiness

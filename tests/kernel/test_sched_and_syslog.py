@@ -43,7 +43,7 @@ def test_switch_to_self_is_free(k):
 
 def test_quantum_expiry_runs_hooks(k):
     seen = []
-    k.sched.add_preempt_hook(lambda task: seen.append(task.pid))
+    k.hooks.attach("preempt", lambda task: seen.append(task.pid))
     k.clock.charge(k.costs.sched_quantum + 1)
     assert k.sched.maybe_preempt() is True
     assert seen == [k.current.pid]

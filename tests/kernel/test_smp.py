@@ -4,11 +4,11 @@ contract against the pre-SMP single-CPU kernel (docs/SMP.md).
 
 The oracle tests pin the exact cycle counts and response digest the
 pre-SMP kernel produced for two single-flow workloads.  They boot
-``Kernel()`` with *no* explicit cpu count on purpose: under the CI smp
-job (``REPRO_CPUS=4``) the same workload runs on a 4-CPU kernel and must
-still produce bit-identical global totals — single-flow work never
-leaves cpu0, per-CPU runqueue locks are charge-free, and the magazine
-row is calibrated to the uncontended spinlock pair.
+``Kernel()`` with *no* explicit cpu count on purpose: under the CI
+observers job's ``REPRO_CPUS=4`` leg the same workload runs on a 4-CPU
+kernel and must still produce bit-identical global totals — single-flow
+work never leaves cpu0, per-CPU runqueue locks are charge-free, and the
+magazine row is calibrated to the uncontended spinlock pair.
 """
 
 import pytest

@@ -2,8 +2,10 @@
 
 The same workload run with tracing off and with tracing on must land on
 bit-identical user/system/iowait cycle counts — the tracer only ever
-*reads* the clock.  The CI trace job re-asserts this run-wide by
-executing a test subset under ``REPRO_TRACE=1``.
+*reads* the clock.  The CI observers job re-asserts this run-wide by
+executing the kernel suites under ``REPRO_PROF=1`` (which implies
+tracing) with strict lockdep; ``tests/trace/test_hooks.py`` checks each
+hook subscriber for zero charge on its own.
 """
 
 from repro.kernel.core import Kernel

@@ -7,8 +7,8 @@ samples must track elapsed cycles at one-period quantization, complete
 events must relabel the samples that landed inside them, the latency
 tracers must fire from their kernel hook sites, and the exports (folded
 stacks, flamegraph SVG, Perfetto instants/counter tracks) must carry the
-collected data.  The CI ``prof`` job re-asserts the identity run-wide by
-executing the kernel suites under ``REPRO_PROF=1``.
+collected data.  The CI ``observers`` job re-asserts the identity
+run-wide by executing the kernel suites under ``REPRO_PROF=1``.
 """
 
 import pytest
