@@ -63,11 +63,9 @@ class SpinLock:
         self.charged = charge
         self.held = False
         self.holder_pid: int | None = None
-        self.holder_cpu: int | None = None
         self.acquisitions = 0
         self.contentions = 0
         self.contention_cycles = 0
-        self._acquired_at = 0
         self._acquired_local = 0
         self._last_unlock_cpu: int | None = None
         self._last_unlock_local = 0
@@ -133,9 +131,7 @@ class SpinLock:
             clock.charge(self.kernel.costs.spinlock_pair // 2)
         self.held = True
         self.holder_pid = self.kernel.current.pid if self.kernel.current else None
-        self.holder_cpu = clock.cpu
         self.acquisitions += 1
-        self._acquired_at = clock.now
         self._acquired_local = clock.local_now()
         if self.instrumented:
             self.kernel.log_event(self, EV_LOCK, site)
@@ -159,7 +155,6 @@ class SpinLock:
                     0, self._last_unlock_local - self._acquired_local)
         self.held = False
         self.holder_pid = None
-        self.holder_cpu = None
         if self.instrumented:
             self.kernel.log_event(self, EV_UNLOCK, site)
 

@@ -170,6 +170,8 @@ class SocketInode(Inode):
                     else:
                         self.rx[0] = chunk[take:]
                 self.rx_bytes -= len(out)
+        if out and self.rcvbuf is not None and self.peer is not None:
+            self.peer.wq.poll_notify()  # writer's EPOLLOUT (sk_write_space)
         self.bytes_received += len(out)
         self._charge(len(out))
         return bytes(out)
@@ -208,6 +210,7 @@ class SocketInode(Inode):
         self.rd_closed = True
         self.wr_closed = True
         self.state = SockState.CLOSED
+        self.wq.poll_notify()
         kernel = self.sb.kernel
         kernel.log_event(self, EV_SOCK_CLOSE, site)
         stack = self.sb.stack

@@ -50,6 +50,12 @@ class WaitQueue:
     ``wait_event`` macro re-tests its expression after every wakeup.
     """
 
+    #: epoll watchers, flattened as ``(ready_set, fd, ready_set, fd, ...)``:
+    #: a readiness change adds each ``fd`` to its set (``ep_poll_callback``).
+    #: Class-level and empty, so a queue nobody polls allocates nothing,
+    #: and flat, so a watched one allocates a single tuple.
+    pollers: tuple = ()
+
     def __init__(self, kernel: "Kernel", name: str = "?"):
         self.kernel = kernel
         self.name = name
@@ -85,9 +91,17 @@ class WaitQueue:
     def wake_all(self, site: str = "?") -> None:
         """Mark the queue's condition changed (wake_up_interruptible)."""
         self.wakeups += 1
+        self.poll_notify()
         tracer = self.kernel.trace
         if tracer.enabled:
             tracer.instant("sched:wakeup", "sched", wq=self.name, site=site)
+
+    def poll_notify(self) -> None:
+        """Readiness may have risen: feed every watching epoll ready list.
+        Free — no charge, no trace event, no wakeup count."""
+        pollers = self.pollers
+        for i in range(0, len(pollers), 2):
+            pollers[i].add(pollers[i + 1])
 
 
 class Scheduler:

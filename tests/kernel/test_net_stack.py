@@ -9,8 +9,9 @@ from repro.kernel import Kernel
 from repro.kernel.fs import RamfsSuperBlock
 from repro.kernel.interrupts import TimerInterrupt
 from repro.kernel.net import (EPOLL_CTL_ADD, EPOLL_CTL_DEL, EPOLLHUP,
-                              EPOLLIN, EV_SOCK_ACCEPT, EV_SOCK_CLOSE, MTU,
-                              SHUT_WR, SocketLayer)
+                              EPOLLIN, EPOLLOUT, EV_SOCK_ACCEPT,
+                              EV_SOCK_CLOSE, MTU, SHUT_WR, SocketLayer)
+from repro.kernel.uring import UringLayer
 from repro.kernel.vfs import O_CREAT, O_WRONLY
 from repro.safety.monitor import EventDispatcher, SocketMonitor
 
@@ -356,6 +357,57 @@ def test_epoll_wait_blocking_deadlock_detected(k, stack):
     with pytest.raises(Errno) as ei:
         k.sys.epoll_wait(epfd)             # timeout=-1, nothing in flight
     assert ei.value.errno == EDEADLK
+
+
+def test_epollout_waits_for_peer_to_free_rcvbuf(k):
+    SocketLayer(k, default_rcvbuf=64)
+    lfd, cfd, conn = _connected_pair(k)
+    epfd = k.sys.epoll_create()
+    k.sys.epoll_ctl(epfd, EPOLL_CTL_ADD, cfd, EPOLLOUT)
+    assert k.sys.epoll_wait(epfd, timeout=0) == [(cfd, EPOLLOUT)]
+    k.sys.write(cfd, b"x" * 64)            # fills the peer's buffer exactly
+    assert k.sys.epoll_wait(epfd, timeout=0) == []
+    assert k.sys.epoll_wait(epfd, timeout=0) == []
+    k.sys.read(conn, 16)                   # frees space: EPOLLOUT rises
+    assert k.sys.epoll_wait(epfd, timeout=0) == [(cfd, EPOLLOUT)]
+
+
+def test_epoll_wait_visits_only_ready_fds(k, stack):
+    """O(ready) on the host too: with 2,000 idle registrations, one wait
+    resolves only the ready sockets plus the uring fd it must re-poll."""
+    UringLayer(k)
+    k.current.rlimit_nofile = 8192
+    lfd = _listener(k)
+    epfd = k.sys.epoll_create()
+    ring_fd = k.sys.uring_setup(8)
+    k.sys.epoll_ctl(epfd, EPOLL_CTL_ADD, ring_fd, EPOLLIN)
+    clients, conns = [], []
+    for _ in range(2000):
+        cfd = k.sys.socket(blocking=False)
+        k.sys.connect(cfd, 80)
+        conn = k.sys.accept(lfd)
+        k.sys.epoll_ctl(epfd, EPOLL_CTL_ADD, conn, EPOLLIN)
+        clients.append(cfd)
+        conns.append(conn)
+    assert k.sys.epoll_wait(epfd, timeout=0) == []   # registrations settle
+
+    ep = k.current.fds[epfd].inode
+    resolved = []
+    collect = ep.collect
+
+    def counting_collect(resolve, maxevents):
+        def counted(fd):
+            resolved.append(fd)
+            return resolve(fd)
+        return collect(counted, maxevents)
+
+    ep.collect = counting_collect
+    for i in (1500, 7, 640):
+        k.sys.write(clients[i], b"GET")
+    events = k.sys.epoll_wait(epfd, timeout=0)
+    assert sorted(events) == sorted((conns[i], EPOLLIN)
+                                    for i in (1500, 7, 640))
+    assert len(resolved) <= 3 + 1
 
 
 # ------------------------------------------------------- lifecycle events
