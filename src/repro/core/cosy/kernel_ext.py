@@ -350,16 +350,17 @@ class CosyKernelExtension:
                 shared.write_kernel(off, b"".join(batch))
             return used
         if name in ("accept", "sendfile", "shutdown"):
-            # Network handlers are installed by repro.kernel.net.SocketLayer;
-            # compounds can only reach them once the stack is loaded.
-            handler = getattr(sys, f"do_{name}", None)
-            if handler is None:
+            # Network handlers live on kernel.net (repro.kernel.net's
+            # SocketLayer); compounds reach them only once it is loaded.
+            net = kernel.net
+            if net is None:
                 raise CosyError(f"{name}: socket layer is not loaded")
             if name == "accept":
-                return handler(scalar(0))
+                return net.do_accept(scalar(0))
             if name == "sendfile":
-                return handler(scalar(0), scalar(1), scalar(2), scalar(3))
-            return handler(scalar(0), scalar(1))
+                return net.do_sendfile(scalar(0), scalar(1), scalar(2),
+                                       scalar(3))
+            return net.do_shutdown(scalar(0), scalar(1))
         raise CosyError(f"syscall '{name}' is not available in compounds")
 
 

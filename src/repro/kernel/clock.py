@@ -11,8 +11,8 @@ kernel-time watchdog: both register *deadlines* and poll :meth:`Clock.now`.
 
 SMP time model (docs/SMP.md)
 ----------------------------
-With ``cpus > 1`` the clock keeps one *local* counter triple per CPU next
-to the global totals, and :attr:`cpu` names the CPU currently executing
+The clock keeps one *local* counter triple per CPU next to the global
+totals, and :attr:`cpu` names the CPU currently executing
 (the simulation is cooperative, so exactly one CPU runs Python code at a
 time; the others are "running" work whose cycles were already charged to
 their local counters).  The merge rule:
@@ -26,9 +26,9 @@ their local counters).  The merge rule:
   simulated wall-clock time of the whole machine.  Aggregate speedup of
   a sharded workload is ``now / wall_now``.
 
-At ``cpus=1`` the per-CPU counters are not allocated, ``local_now() ==
-wall_now == now``, and every code path is bit-identical to the pre-SMP
-clock.
+``cpus=1`` is the same machine with one CPU: its one local triple
+always equals the global totals, so ``local_now() == wall_now == now``
+and every figure is bit-identical to the pre-SMP clock.
 """
 
 from __future__ import annotations
@@ -67,9 +67,8 @@ class Clock:
         Simulated CPU frequency, used only to convert cycles to seconds for
         reporting.  Defaults to the paper's 1.7 GHz Pentium 4.
     cpus:
-        Number of simulated CPUs.  ``1`` (the default) keeps the original
-        single-CPU accounting untouched; ``>1`` additionally shards every
-        charge into the executing CPU's local counters.
+        Number of simulated CPUs (default 1).  Every charge also lands in
+        the executing CPU's local counters.
     """
 
     def __init__(self, hz: float = 1.7e9, cpus: int = 1):
@@ -90,13 +89,9 @@ class Clock:
         #: sampler never charges, so the counters above are bit-identical
         #: with profiling on or off.
         self._sampler = None
-        if self.cpus > 1:
-            self._pc_user: list[int] | None = [0] * self.cpus
-            self._pc_system: list[int] | None = [0] * self.cpus
-            self._pc_iowait: list[int] | None = [0] * self.cpus
-        else:
-            # Single CPU: no shards, local time degenerates to global time.
-            self._pc_user = self._pc_system = self._pc_iowait = None
+        self._pc_user = [0] * self.cpus
+        self._pc_system = [0] * self.cpus
+        self._pc_iowait = [0] * self.cpus
 
     # ------------------------------------------------------------- charging
 
@@ -116,16 +111,13 @@ class Clock:
         m = mode or self._mode_stack[-1]
         if m is Mode.USER:
             self.user += cycles
-            if self._pc_user is not None:
-                self._pc_user[self.cpu] += cycles
+            self._pc_user[self.cpu] += cycles
         elif m is Mode.SYSTEM:
             self.system += cycles
-            if self._pc_system is not None:
-                self._pc_system[self.cpu] += cycles
+            self._pc_system[self.cpu] += cycles
         else:
             self.iowait += cycles
-            if self._pc_iowait is not None:
-                self._pc_iowait[self.cpu] += cycles
+            self._pc_iowait[self.cpu] += cycles
         s = self._sampler
         if s is not None:
             s.tick()
@@ -136,8 +128,7 @@ class Clock:
         if cycles < 0:
             raise ValueError(f"negative charge: {cycles}")
         self.system += cycles
-        if self._pc_system is not None:
-            self._pc_system[self.cpu] += cycles
+        self._pc_system[self.cpu] += cycles
         s = self._sampler
         if s is not None:
             s.tick()
@@ -204,28 +195,20 @@ class Clock:
     def local_now(self, cpu: int | None = None) -> int:
         """One CPU's local time (default: the executing CPU).
 
-        At ``cpus=1`` this is :attr:`now`; at ``cpus>1`` it is that CPU's
-        position on the simulated wall clock.
+        That CPU's position on the simulated wall clock; at ``cpus=1``
+        this equals :attr:`now`.
         """
-        if self._pc_user is None:
-            return self.user + self.system + self.iowait
         c = self.cpu if cpu is None else cpu
-        assert self._pc_system is not None and self._pc_iowait is not None
         return self._pc_user[c] + self._pc_system[c] + self._pc_iowait[c]
 
     @property
     def wall_now(self) -> int:
         """Simulated wall-clock time: the frontier ``max(local_now(c))``."""
-        if self._pc_user is None:
-            return self.user + self.system + self.iowait
         return max(self.local_now(c) for c in range(self.cpus))
 
     def local_snapshot(self, cpu: int | None = None) -> ClockSnapshot:
         """Immutable copy of one CPU's local counters."""
-        if self._pc_user is None:
-            return ClockSnapshot(self.user, self.system, self.iowait)
         c = self.cpu if cpu is None else cpu
-        assert self._pc_system is not None and self._pc_iowait is not None
         return ClockSnapshot(self._pc_user[c], self._pc_system[c],
                              self._pc_iowait[c])
 

@@ -18,7 +18,7 @@ Typical setup::
 from __future__ import annotations
 
 import os
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.cminus.compile import CodeCache
 from repro.kernel.clock import Clock
@@ -42,6 +42,10 @@ from repro.kernel.vfs.namei import VFS
 from repro.kernel.vfs.super import SuperBlock
 from repro.safety.lockdep import ENV_LOCKDEP, LockdepValidator
 from repro.trace import ENV_PROF, ENV_TRACE, MetricsRegistry, Profiler, Tracer
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.kernel.net.syscalls import SocketLayer
+    from repro.kernel.uring.layer import UringLayer
 
 #: signature of the event hook: (obj, event_type, site) — see §3.3.
 EventHook = Callable[[Any, int, str], None]
@@ -128,6 +132,10 @@ class Kernel:
         self.vfs = VFS(self)
         self.sched = Scheduler(self)
         self.sys = SyscallInterface(self)
+        #: loadable syscall layers behind ``sys.socket``/``sys.uring_*``;
+        #: building a SocketLayer/UringLayer registers it here.
+        self.net: SocketLayer | None = None
+        self.uring: UringLayer | None = None
         #: sampling profiler + latency tracers (docs/PROFILING.md);
         #: dormant (zero charge-path cost, no hooks attached) until
         #: enabled.  Like the tracer, it only ever *reads* the clock:
@@ -167,7 +175,7 @@ class Kernel:
         prof.add_counter("mmu.tlb_misses", lambda: self.mmu.tlb_misses)
 
         def cq_backlog() -> int:
-            uring = getattr(self, "uring", None)
+            uring = self.uring
             if uring is None:
                 return 0
             return sum(ring.cq_backlog() for ring in uring.rings)

@@ -34,25 +34,20 @@ class IrqController:
     Mirrors ``local_irq_save``/``local_irq_restore``: disables nest, and
     the §3.3 invariant is that every disable is eventually matched.
 
-    Interrupt state is architecturally *per-CPU* (the eflags IF bit): on
-    an SMP kernel the nesting depth is a per-CPU array indexed by the
-    executing CPU, so cpu1 disabling interrupts leaves cpu0's enabled.
-    Single-CPU kernels keep the original scalar depth.
+    Interrupt state is architecturally *per-CPU* (the eflags IF bit): the
+    nesting depth is a per-CPU array indexed by the executing CPU, so
+    cpu1 disabling interrupts leaves cpu0's enabled.
     """
 
     def __init__(self, kernel: "Kernel", *, instrumented: bool = False):
         self.kernel = kernel
         self.instrumented = instrumented
         self.toggles = 0
-        ncpus = kernel.ncpus
-        self._depths: list[int] | None = [0] * ncpus if ncpus > 1 else None
-        self._depth = 0
+        self._depths = [0] * kernel.ncpus
 
     @property
     def disable_depth(self) -> int:
         """Nesting depth on the executing CPU."""
-        if self._depths is None:
-            return self._depth
         return self._depths[self.kernel.clock.cpu]
 
     @property
@@ -63,12 +58,8 @@ class IrqController:
         clock = self.kernel.clock
         clock.charge(IRQ_TOGGLE_COST, Mode.SYSTEM)
         cpu = clock.cpu
-        if self._depths is None:
-            self._depth += 1
-            depth = self._depth
-        else:
-            self._depths[cpu] += 1
-            depth = self._depths[cpu]
+        self._depths[cpu] += 1
+        depth = self._depths[cpu]
         self.toggles += 1
         for fn in self.kernel.hooks.irq_disable:
             fn(cpu, depth)
@@ -82,12 +73,8 @@ class IrqController:
         clock = self.kernel.clock
         clock.charge(IRQ_TOGGLE_COST, Mode.SYSTEM)
         cpu = clock.cpu
-        if self._depths is None:
-            self._depth -= 1
-            depth = self._depth
-        else:
-            self._depths[cpu] -= 1
-            depth = self._depths[cpu]
+        self._depths[cpu] -= 1
+        depth = self._depths[cpu]
         self.toggles += 1
         for fn in self.kernel.hooks.irq_enable:
             fn(cpu, depth)

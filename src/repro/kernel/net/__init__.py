@@ -2,8 +2,9 @@
 
 Layering (top to bottom; see docs/NETWORK.md):
 
-* :class:`SocketLayer` — syscall entries + ``do_*`` handlers, the port
-  table, and the protocol upper half fed by the NIC softirq;
+* :class:`SocketLayer` — the ``do_*`` handlers behind ``kernel.sys``'s
+  socket entries (registered as ``kernel.net``), the port table, and the
+  protocol upper half fed by the NIC softirq;
 * :class:`SocketInode` / :class:`EpollInode` — VFS objects behind socket
   and epoll fds;
 * :class:`Nic` — TX/RX descriptor rings, hardirq/softirq delivery, and

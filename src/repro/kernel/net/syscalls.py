@@ -6,9 +6,10 @@ HTTP servers using these system calls report performance improvements
 ranging from 92% to 116%."  §2.4 plans "new system call suites that cater
 to [server] workloads".  This module supplies the substrate those claims
 are measured on: stream sockets with listen/accept/connect/shutdown,
-``sendfile``, ``select``, and the epoll readiness suite — all installed
-onto ``kernel.sys`` the way a loadable protocol module extends the
-syscall table.
+``sendfile``, ``select``, and the epoll readiness suite.  Like a loadable
+protocol module, building a :class:`SocketLayer` registers it as
+``kernel.net``; the ``kernel.sys`` entries for these syscalls dispatch to
+its ``do_*`` handlers.
 
 The ``do_*`` handlers are plain methods, so the Cosy kernel extension can
 invoke them directly inside a compound (one trap for a whole
@@ -39,7 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class SocketLayer:
-    """Socket syscall extensions installed onto a kernel.
+    """The socket syscall handlers, registered as ``kernel.net``.
 
     Also the "network stack" object: it owns the sockfs superblock, the
     port table, and the NIC, and is the NIC's upper-half protocol handler
@@ -48,6 +49,8 @@ class SocketLayer:
 
     def __init__(self, kernel: "Kernel", *, deliver: str = "irq",
                  default_rcvbuf: int | None = None, queues: int = 1):
+        if kernel.net is not None:
+            raise RuntimeError("a socket layer is already loaded")
         self.kernel = kernel
         self.sockfs = SockFS(kernel)
         self.sockfs.stack = self
@@ -68,97 +71,12 @@ class SocketLayer:
         self.rst_tx = 0
         #: accepted connections aborted because the acceptor was out of fds
         self.accept_emfile = 0
-        self._install()
-
-    def _install(self) -> None:
-        sys = self.kernel.sys
-        sys.socketpair = self._socketpair_entry
-        sys.sendfile = self._sendfile_entry
-        sys.socket = self._socket_entry
-        sys.bind = self._bind_entry
-        sys.listen = self._listen_entry
-        sys.connect = self._connect_entry
-        sys.accept = self._accept_entry
-        sys.shutdown = self._shutdown_entry
-        sys.select = self._select_entry
-        sys.epoll_create = self._epoll_create_entry
-        sys.epoll_ctl = self._epoll_ctl_entry
-        sys.epoll_wait = self._epoll_wait_entry
-        sys.do_socketpair = self.do_socketpair
-        sys.do_sendfile = self.do_sendfile
-        sys.do_socket = self.do_socket
-        sys.do_bind = self.do_bind
-        sys.do_listen = self.do_listen
-        sys.do_connect = self.do_connect
-        sys.do_accept = self.do_accept
-        sys.do_shutdown = self.do_shutdown
-        sys.do_select = self.do_select
-        sys.do_epoll_create = self.do_epoll_create
-        sys.do_epoll_ctl = self.do_epoll_ctl
-        sys.do_epoll_wait = self.do_epoll_wait
+        kernel.net = self
 
     def attach_timer(self, timer: "TimerInterrupt") -> None:
         """Drive deferred (``deliver="tick"``) RX processing off the timer
         interrupt: each tick raises the NIC interrupt (NAPI-style)."""
         timer.register_handler(self.nic.kick)
-
-    # ----------------------------------------------------- syscall entries
-
-    def _socketpair_entry(self) -> tuple[int, int]:
-        return self.kernel.sys._dispatch("socketpair", self.do_socketpair, ())
-
-    def _sendfile_entry(self, out_fd: int, in_fd: int, offset: int,
-                        count: int) -> int:
-        return self.kernel.sys._dispatch(
-            "sendfile",
-            lambda: self.do_sendfile(out_fd, in_fd, offset, count),
-            (out_fd, in_fd, offset, count))
-
-    def _socket_entry(self, *, blocking: bool = True) -> int:
-        return self.kernel.sys._dispatch(
-            "socket", lambda: self.do_socket(blocking=blocking), ())
-
-    def _bind_entry(self, fd: int, port: int) -> int:
-        return self.kernel.sys._dispatch(
-            "bind", lambda: self.do_bind(fd, port), (fd, port))
-
-    def _listen_entry(self, fd: int, backlog: int = 128) -> int:
-        return self.kernel.sys._dispatch(
-            "listen", lambda: self.do_listen(fd, backlog), (fd, backlog))
-
-    def _connect_entry(self, fd: int, port: int) -> int:
-        return self.kernel.sys._dispatch(
-            "connect", lambda: self.do_connect(fd, port), (fd, port))
-
-    def _accept_entry(self, fd: int) -> int:
-        return self.kernel.sys._dispatch(
-            "accept", lambda: self.do_accept(fd), (fd,))
-
-    def _shutdown_entry(self, fd: int, how: int) -> int:
-        return self.kernel.sys._dispatch(
-            "shutdown", lambda: self.do_shutdown(fd, how), (fd, how))
-
-    def _select_entry(self, fds, start: int = 0, limit: int = 1):
-        return self.kernel.sys._dispatch(
-            "select", lambda: self.do_select(fds, start, limit),
-            (len(fds), start, limit))
-
-    def _epoll_create_entry(self) -> int:
-        return self.kernel.sys._dispatch(
-            "epoll_create", self.do_epoll_create, ())
-
-    def _epoll_ctl_entry(self, epfd: int, op: int, fd: int,
-                         mask: int = EPOLLIN) -> int:
-        return self.kernel.sys._dispatch(
-            "epoll_ctl", lambda: self.do_epoll_ctl(epfd, op, fd, mask),
-            (epfd, op, fd, mask))
-
-    def _epoll_wait_entry(self, epfd: int, maxevents: int = 64,
-                          timeout: int = -1):
-        return self.kernel.sys._dispatch(
-            "epoll_wait",
-            lambda: self.do_epoll_wait(epfd, maxevents, timeout),
-            (epfd, maxevents, timeout))
 
     # ------------------------------------------------------------- helpers
 

@@ -167,15 +167,6 @@ class Scheduler:
         """The task executing on the current CPU (the camera's CPU)."""
         return self.cpus[self.kernel.clock.cpu].current
 
-    @property
-    def runqueue(self) -> list[Task]:
-        """All runnable tasks.  On a single-CPU kernel this is cpu0's
-        actual runqueue (the historical attribute); on SMP it is a merged
-        read-only snapshot — mutate through the scheduler API."""
-        if self.ncpus == 1:
-            return self.cpus[0].runqueue
-        return [t for cpu in self.cpus for t in cpu.runqueue]
-
     # ------------------------------------------------------------- tasks
 
     def add_task(self, task: Task, cpu: int | None = None) -> None:
@@ -201,7 +192,7 @@ class Scheduler:
             # Enqueued behind a running task: the wakeup-latency clock
             # starts now and stops when switch_to makes it current.
             task.last_ready = clock.now
-        if self.ncpus > 1 and c != clock.cpu:
+        if c != clock.cpu:
             # Remote enqueue: kick the target CPU to notice the new task.
             self.send_ipi(c, reason="enqueue")
 
@@ -276,7 +267,7 @@ class Scheduler:
         the target pays the interrupt dispatch on its own local clock."""
         kernel = self.kernel
         clock = kernel.clock
-        if self.ncpus == 1 or target == clock.cpu:
+        if target == clock.cpu:
             return
         clock.charge(kernel.costs.ipi, Mode.SYSTEM)
         with clock.on_cpu(target):
@@ -306,8 +297,6 @@ class Scheduler:
         locks are taken in CPU-id order (the second acquisition carries a
         lockdep subclass, the blessed same-class nesting).
         """
-        if self.ncpus == 1:
-            return None
         kernel = self.kernel
         victim = None
         best = 0
@@ -383,7 +372,7 @@ class Scheduler:
                 kernel.clock.charge(2 * kernel.costs.context_switch)
                 kernel.mmu.flush_tlb()
                 self._switches.inc(2)
-            elif self.ncpus > 1:
+            else:
                 self._idle_balance(st)
             st.last_switch = clock.local_now()
         finally:

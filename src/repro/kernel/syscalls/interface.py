@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import ENOMEM, Errno, OutOfMemory, errno_name
 from repro.kernel.clock import Mode
+from repro.kernel.net.epoll import EPOLLIN
 from repro.kernel.syscalls.consolidated import ConsolidatedMixin
 from repro.kernel.syscalls.dir_ops import DirOpsMixin
 from repro.kernel.syscalls.file_ops import FileOpsMixin
@@ -214,3 +215,81 @@ class SyscallInterface(FileOpsMixin, DirOpsMixin, ConsolidatedMixin):
         return self._dispatch("open_fstat",
                               lambda: self.do_open_fstat(path, flags),
                               (path, flags))
+
+    # -------------------------------- sockets and epoll (§2.1)
+    # Bodies live on the registered layers: ``kernel.net`` and
+    # ``kernel.uring`` (None until a SocketLayer/UringLayer is built).
+
+    def socketpair(self) -> tuple[int, int]:
+        return self._dispatch("socketpair",
+                              lambda: self.kernel.net.do_socketpair(), ())
+
+    def sendfile(self, out_fd: int, in_fd: int, offset: int,
+                 count: int) -> int:
+        return self._dispatch(
+            "sendfile",
+            lambda: self.kernel.net.do_sendfile(out_fd, in_fd, offset, count),
+            (out_fd, in_fd, offset, count))
+
+    def socket(self, *, blocking: bool = True) -> int:
+        return self._dispatch(
+            "socket", lambda: self.kernel.net.do_socket(blocking=blocking), ())
+
+    def bind(self, fd: int, port: int) -> int:
+        return self._dispatch("bind", lambda: self.kernel.net.do_bind(fd, port),
+                              (fd, port))
+
+    def listen(self, fd: int, backlog: int = 128) -> int:
+        return self._dispatch(
+            "listen", lambda: self.kernel.net.do_listen(fd, backlog),
+            (fd, backlog))
+
+    def connect(self, fd: int, port: int) -> int:
+        return self._dispatch(
+            "connect", lambda: self.kernel.net.do_connect(fd, port), (fd, port))
+
+    def accept(self, fd: int) -> int:
+        return self._dispatch("accept", lambda: self.kernel.net.do_accept(fd),
+                              (fd,))
+
+    def shutdown(self, fd: int, how: int) -> int:
+        return self._dispatch(
+            "shutdown", lambda: self.kernel.net.do_shutdown(fd, how), (fd, how))
+
+    def select(self, fds, start: int = 0, limit: int = 1):
+        return self._dispatch(
+            "select", lambda: self.kernel.net.do_select(fds, start, limit),
+            (len(fds), start, limit))
+
+    def epoll_create(self) -> int:
+        return self._dispatch("epoll_create",
+                              lambda: self.kernel.net.do_epoll_create(), ())
+
+    def epoll_ctl(self, epfd: int, op: int, fd: int,
+                  mask: int = EPOLLIN) -> int:
+        return self._dispatch(
+            "epoll_ctl",
+            lambda: self.kernel.net.do_epoll_ctl(epfd, op, fd, mask),
+            (epfd, op, fd, mask))
+
+    def epoll_wait(self, epfd: int, maxevents: int = 64, timeout: int = -1):
+        return self._dispatch(
+            "epoll_wait",
+            lambda: self.kernel.net.do_epoll_wait(epfd, maxevents, timeout),
+            (epfd, maxevents, timeout))
+
+    # ------------------------------------------- async syscall rings
+
+    def uring_setup(self, sq_entries: int, **kwargs) -> int:
+        return self._dispatch(
+            "uring_setup",
+            lambda: self.kernel.uring.do_uring_setup(sq_entries, **kwargs),
+            (sq_entries,))
+
+    def uring_enter(self, fd: int, to_submit: int | None = None,
+                    min_complete: int = 0, *, wakeup: bool = False) -> int:
+        return self._dispatch(
+            "uring_enter",
+            lambda: self.kernel.uring.do_uring_enter(
+                fd, to_submit, min_complete, wakeup=wakeup),
+            (fd, min_complete))

@@ -1,6 +1,7 @@
 """UringLayer: the async-syscall-ring syscall layer (docs/URING.md).
 
-Two syscalls get installed onto the kernel, SocketLayer-style:
+Building ``UringLayer(kernel)`` registers it as ``kernel.uring``, as
+SocketLayer does for ``kernel.net``; two syscalls dispatch to it:
 
 ``uring_setup``
     Create a ring pair in shared memory and return a pollable fd.
@@ -66,50 +67,27 @@ class _Armed:
 class UringLayer:
     """io_uring-style submission/completion rings for the simulated kernel.
 
-    Not part of the kernel core: installed explicitly, like
+    Not part of the kernel core: loaded explicitly, like
     :class:`~repro.kernel.net.syscalls.SocketLayer` —
-    ``UringLayer(kernel)`` — so kernels that never touch uring stay
-    bit-identical to pre-uring oracles.
+    ``UringLayer(kernel)`` registers it as ``kernel.uring`` — so kernels
+    that never touch uring stay bit-identical to pre-uring oracles.
     """
 
     def __init__(self, kernel: "Kernel"):
+        if kernel.uring is not None:
+            raise RuntimeError("a uring layer is already loaded")
         self.kernel = kernel
         self.fs = UringFS(kernel)
         self.rings: list[Uring] = []
-        self._install()
-
-    def _install(self) -> None:
-        sys = self.kernel.sys
-        sys.uring_setup = self._setup_entry
-        sys.uring_enter = self._enter_entry
-        sys.do_uring_setup = self.do_uring_setup
-        sys.do_uring_enter = self.do_uring_enter
-        # Register on the kernel so observers (the profiler's CQ-backlog
-        # counter track) can find the live rings without importing uring.
-        self.kernel.uring = self
-
-    # ----------------------------------------------------- syscall entries
-
-    def _setup_entry(self, sq_entries: int, **kwargs) -> int:
-        return self.kernel.sys._dispatch(
-            "uring_setup", lambda: self.do_uring_setup(sq_entries, **kwargs),
-            (sq_entries,))
-
-    def _enter_entry(self, fd: int, to_submit: int | None = None,
-                     min_complete: int = 0, *, wakeup: bool = False) -> int:
-        return self.kernel.sys._dispatch(
-            "uring_enter",
-            lambda: self.do_uring_enter(fd, to_submit, min_complete,
-                                        wakeup=wakeup),
-            (fd, min_complete))
+        kernel.uring = self
 
     # ------------------------------------------------------------- helpers
 
     def _stack(self) -> "SocketLayer":
-        do_accept = getattr(self.kernel.sys, "do_accept", None)
-        if do_accept is None:
+        stack = self.kernel.net
+        if stack is None:
             raise_errno(EOPNOTSUPP, "uring needs a network stack installed")
-        return do_accept.__self__
+        return stack
 
     def _ring_for(self, fd: int) -> Uring:
         file = self.kernel.sys._file_for(fd)

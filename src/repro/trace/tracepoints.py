@@ -215,8 +215,6 @@ class Tracer:
         """
         if cpu is not None:
             return self._attribution_cpu(cpu)
-        if self.ncpus == 1:
-            return self._attribution_cpu(0)
         parts = [self._attribution_cpu(c) for c in range(self.ncpus)]
         window = sum(p.window_cycles for p in parts)
         untraced = sum(p.untraced_cycles for p in parts)

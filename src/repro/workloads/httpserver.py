@@ -92,11 +92,6 @@ class HttpBenchConfig:
     port: int = 80
     docroot: str = "/www"
     seed: int = 4242
-    #: uring server: kernel-side submission poller.  None = auto (sqpoll
-    #: on SMP kernels, where the poller has its own runqueue to live on;
-    #: enter mode on uniprocessors, where polling would steal the very
-    #: CPU the server needs).
-    uring_sqpoll: bool | None = None
 
 
 @dataclass
@@ -468,8 +463,6 @@ class UringHttpServer(_HttpServerBase):
 
     def __init__(self, kernel: "Kernel", cfg: HttpBenchConfig):
         super().__init__(kernel, cfg)
-        self.sqpoll = (cfg.uring_sqpoll if cfg.uring_sqpoll is not None
-                       else kernel.ncpus > 1)
         self.ring_fd = -1
         self.q: UringQueue | None = None
         #: recycled request buffers: a chain's buffer is live only from
@@ -484,12 +477,16 @@ class UringHttpServer(_HttpServerBase):
     def setup(self) -> None:
         super().setup()
         sys = self.kernel.sys
-        if not hasattr(sys, "uring_setup"):
+        if self.kernel.uring is None:
             UringLayer(self.kernel)
         sq = 4 * self.cfg.wave + 8
         data = (2 * self.cfg.wave + 16) * REQUEST_BYTES
+        # Kernel-side submission poller on SMP kernels, where it has its
+        # own runqueue to live on; enter mode on uniprocessors, where
+        # polling would steal the very CPU the server needs.
         self.ring_fd = sys.uring_setup(sq, cq_entries=2 * sq, files=4,
-                                       data_bytes=data, sqpoll=self.sqpoll,
+                                       data_bytes=data,
+                                       sqpoll=self.kernel.ncpus > 1,
                                        sq_idle=64)
         self.q = UringQueue(self.kernel, self.ring_fd)
         # one armed multishot accept feeds connections for the whole run;
@@ -710,7 +707,7 @@ def _drain_clients(kernel: "Kernel", fds: list[int], digest) -> int:
 def _nic_stats(kernel: "Kernel", smp: bool) -> dict:
     """The NIC counters a bench result reports; sharded runs add the RX
     queue count and NIC lock contention."""
-    nic = kernel.sys.do_accept.__self__.nic  # the installed SocketLayer's
+    nic = kernel.net.nic
     stats = {
         "tx_packets": nic.tx_packets,
         "rx_packets": nic.rx_packets,

@@ -307,7 +307,7 @@ def test_ring_close_releases_fixed_files(k, layer):
     k.sys.close(fd)
     assert q.ring.closed
     assert k.current.get_file(real) is None         # died with the ring
-    assert q.ring not in k.sys.do_uring_enter.__self__.rings
+    assert q.ring not in k.uring.rings
 
 
 # ------------------------------------------------- fault injection (§3.3)
