@@ -25,7 +25,8 @@ The E13 section reruns the serving story on SMP kernels (docs/SMP.md):
 clients shard across 2 and 4 CPUs with one listener per core and NIC RSS
 steering, the crossover curves are measured *per core count*, and cpus=4
 must sustain 10⁵ concurrent clients at ≥2× the aggregate throughput of
-cpus=1 at 10⁴.
+cpus=1 at 10⁴.  Its cpus=1 row is the same simulation as E11's curve,
+so the cells E11 measured in the same session are reused.
 
 The E14 section is the uring-vs-cosy head-to-head (docs/URING.md): the
 two zero-parse pipelines sweep client counts per core count on small
@@ -73,6 +74,10 @@ URING_PEAK_CLIENTS = 100_000
 _OUT = Path(__file__).parent / "BENCH_NET.json"
 _NET: dict = {}
 
+#: E11 runs on a one-CPU kernel, as E13 cells keyed by (kind, nclients):
+#: the same simulation as E13's cpus=1 row, which reuses them
+_CPU1_CELLS: dict[tuple[str, int], dict] = {}
+
 
 def _measure(kind: str, nclients: int, *, traced: bool = False,
              trace_dir: Path | None = None) -> dict:
@@ -96,6 +101,8 @@ def _measure(kind: str, nclients: int, *, traced: bool = False,
         "digest": r.digest,
         "nic": r.nic,
     }
+    if kernel.ncpus == 1:
+        _CPU1_CELLS[(kind, nclients)] = _smp_cell(kernel, r)
     if kernel.trace.enabled:
         att = kernel.trace.attribution()
         # the window is the whole benchmark (setup + client driving +
@@ -119,36 +126,30 @@ def _measure_smp(kind: str, nclients: int, cpus: int,
                  avg_file_bytes: int | None = None) -> dict:
     """One (kind, nclients, cpus) cell of the SMP serving grid.
 
-    ``cpus == 1`` runs the classic single-kernel bench so the SMP curves
-    share an axis with the pre-SMP baseline; ``cpus > 1`` shards the
-    clients across every CPU via :func:`run_http_bench_smp` (one
-    listener + client driver per CPU, NIC RSS keeping each shard's flows
-    on its own RX queue).  ``wall_elapsed`` is the frontier-rule maximum
-    of the per-CPU serving times (docs/SMP.md); aggregate throughput is
-    requests over that wall time.
+    Shards the clients across every CPU via :func:`run_http_bench_smp`
+    (one listener + client driver per CPU, NIC RSS keeping each shard's
+    flows on its own RX queue); at ``cpus == 1`` that is the single-server
+    bench, so the SMP curves share an axis with E11.  ``wall_elapsed`` is
+    the frontier-rule maximum of the per-CPU serving times (docs/SMP.md);
+    aggregate throughput is requests over that wall time.  A cpus=1 cell
+    with the default file size that E11 already measured in this session
+    is reused, not simulated again.
     """
+    if cpus == 1 and avg_file_bytes is None \
+            and (kind, nclients) in _CPU1_CELLS:
+        return _CPU1_CELLS[(kind, nclients)]
     cfg_kwargs: dict = {"nclients": nclients}
     if avg_file_bytes is not None:
         cfg_kwargs["avg_file_bytes"] = avg_file_bytes
-    if cpus == 1:
-        kernel = fresh_kernel("ramfs")
-        SocketLayer(kernel)
-        r = run_http_bench(kernel, kind, HttpBenchConfig(**cfg_kwargs))
-        return {
-            "kind": kind, "nclients": nclients, "cpus": 1,
-            "requests": r.requests, "bytes_served": r.bytes_served,
-            "per_cpu_elapsed": [r.elapsed],
-            "wall_elapsed": r.elapsed, "total_elapsed": r.elapsed,
-            "throughput": r.requests / max(r.elapsed, 1), "speedup": 1.0,
-            "syscalls": r.syscalls, "digest": r.digest,
-            "ipis": kernel.sched.ipis, "steals": kernel.sched.steals,
-            "nic": r.nic,
-        }
     kernel = fresh_kernel("ramfs", cpus=cpus)
     SocketLayer(kernel, queues=cpus)
     r = run_http_bench_smp(kernel, kind, HttpBenchConfig(**cfg_kwargs))
+    return _smp_cell(kernel, r)
+
+
+def _smp_cell(kernel, r) -> dict:
     return {
-        "kind": kind, "nclients": nclients, "cpus": cpus,
+        "kind": r.kind, "nclients": r.nclients, "cpus": kernel.ncpus,
         "requests": r.requests, "bytes_served": r.bytes_served,
         "per_cpu_elapsed": r.per_cpu_elapsed,
         "wall_elapsed": r.wall_elapsed, "total_elapsed": r.total_elapsed,

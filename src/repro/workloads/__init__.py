@@ -27,8 +27,7 @@ from repro.workloads.webserver import (ReadWriteServer, SendfileServer,
 from repro.workloads.httpserver import (CosyHttpServer, EpollHttpServer,
                                         HttpBenchConfig, HttpBenchResult,
                                         SelectHttpServer, SERVER_KINDS,
-                                        SmpHttpBenchResult, run_http_bench,
-                                        run_http_bench_smp)
+                                        run_http_bench, run_http_bench_smp)
 from repro.workloads.scenario import (FaultStorm, ScenarioConfig,
                                       ScenarioResult, ScenarioRunner,
                                       ScheduleEvent, TenantSpec, TrustTier,
@@ -43,7 +42,7 @@ __all__ = [
     "build_docroot", "drain_client",
     "CosyHttpServer", "EpollHttpServer", "SelectHttpServer",
     "HttpBenchConfig", "HttpBenchResult", "SERVER_KINDS",
-    "SmpHttpBenchResult", "run_http_bench", "run_http_bench_smp",
+    "run_http_bench", "run_http_bench_smp",
     "PostMark", "PostMarkConfig", "PostMarkResult",
     "CompileBench", "CompileBenchConfig",
     "ls_legacy", "ls_readdirplus",

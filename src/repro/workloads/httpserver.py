@@ -40,9 +40,22 @@ closes each connection.  Select and uring keep
 two loops because their syscall order is measured behaviour; epoll's
 ``serve_wave(n)`` is ``pump(n)``.
 
+One harness drives every kind.  It splits the clients into shards,
+serves shard *c* on CPU *c* behind its own listener, and measures each
+CPU's serving time, so a result carries per-CPU, serialized and wall
+cycles alike.  The entry point picks the shard count:
+:func:`run_http_bench` serves one shard, :func:`run_http_bench_smp` one
+per CPU.  The shard count also picks the task layout.  One shard is
+served by the calling task, with the client task spawned after setup.
+Several shards each get a server and a client task pinned to their CPU,
+both spawned before setup.  Both layouts are kept because the pinned
+observer oracles (``tests/trace/test_observer_oracles.py``) and E11's
+attribution record spawns and wakeups exactly.
+
 ``benchmarks/bench_net.py`` sweeps the client count to reproduce the
-crossings-dominate curve; the differential test asserts all four serve
-byte-identical responses.
+crossings-dominate curve (E11) and the core count for the sharded curves
+(E13/E14); the differential test asserts all four serve byte-identical
+responses.
 
 Protocol: one request per connection, ``b"GET <path>\\0"`` (NUL-terminated
 so the Cosy compound can reuse its request region), response is the raw
@@ -96,18 +109,47 @@ class HttpBenchConfig:
 
 @dataclass
 class HttpBenchResult:
-    """Serving-phase metrics for one (server kind, nclients) run."""
+    """Serving-phase metrics for one (server kind, nclients) run.
+
+    Serving cycles are kept per CPU; the serialized total and the wall
+    time are derived from them (sum and frontier rules, docs/SMP.md).
+    """
 
     kind: str
     nclients: int
     requests: int = 0
     bytes_served: int = 0
-    elapsed: int = 0          # simulated cycles, serving phase only
+    #: serving-phase cycles per CPU, one entry per kernel CPU
+    per_cpu_elapsed: list = field(default_factory=list)
     user_cycles: int = 0
     system_cycles: int = 0
     syscalls: int = 0         # boundary crossings, serving phase only
     digest: str = ""          # sha256 over every client's drained bytes
+    shard_requests: list = field(default_factory=list)
     nic: dict = field(default_factory=dict)
+
+    @property
+    def elapsed(self) -> int:
+        """Serving cycles, serialized: the sum over CPUs."""
+        return sum(self.per_cpu_elapsed)
+
+    #: the serialized total under its sharding name
+    total_elapsed = elapsed
+
+    @property
+    def wall_elapsed(self) -> int:
+        """Simulated wall time of the serving phase: the busiest CPU."""
+        return max(self.per_cpu_elapsed, default=0)
+
+    @property
+    def speedup(self) -> float:
+        """Parallel speedup over running the same work on one CPU."""
+        return self.elapsed / max(self.wall_elapsed, 1)
+
+    @property
+    def throughput(self) -> float:
+        """Aggregate simulated throughput: requests per wall cycle."""
+        return self.requests / max(self.wall_elapsed, 1)
 
     @property
     def cycles_per_request(self) -> float:
@@ -630,59 +672,115 @@ _SERVERS = {
 
 def run_http_bench(kernel: "Kernel", kind: str,
                    cfg: HttpBenchConfig) -> HttpBenchResult:
-    """Run one server kind against ``cfg.nclients`` simulated clients.
+    """Serve ``cfg.nclients`` clients with one server: the calling task.
 
     ``kernel`` must be freshly booted with a mounted root and one running
-    task (which becomes the server).  Clients run as a second task and
-    connect in waves of ``cfg.wave``; only the serving phase is measured,
-    so the client-side driving cost (identical across kinds) stays out of
-    the comparison.  Returns serving-phase metrics plus a digest over the
-    bytes every client received, for differential comparison.
+    task, which becomes the server; on an SMP kernel the whole run stays
+    on that task's CPU.  Returns serving-phase metrics plus a digest over
+    the bytes every client received, for differential comparison.
+    """
+    return _serve(kernel, kind, cfg, shards=1)
+
+
+def run_http_bench_smp(kernel: "Kernel", kind: str,
+                       cfg: HttpBenchConfig) -> HttpBenchResult:
+    """Shard ``cfg.nclients`` across every CPU, one server per CPU.
+
+    CPU *c* serves on port ``cfg.port + c``; the NIC's RSS steering keeps
+    each listener's SYNs on its own RX queue, so the kernel's
+    ``SocketLayer`` should be built with ``queues=kernel.ncpus``.  On a
+    one-CPU kernel this is :func:`run_http_bench`.
+    """
+    return _serve(kernel, kind, cfg, shards=kernel.ncpus)
+
+
+def _serve(kernel: "Kernel", kind: str, cfg: HttpBenchConfig,
+           shards: int) -> HttpBenchResult:
+    """The serving harness: ``cfg.nclients`` split into ``shards`` shares,
+    share *c* served on CPU *c*, one shard after another.
+
+    Clients connect in waves of ``cfg.wave``; only the serving phase is
+    measured, so the client-side driving cost (identical across kinds)
+    stays out of the comparison.  Shard costs land on their own CPUs'
+    local clocks, so the result's wall time is the busiest CPU's serving
+    time (the frontier rule, docs/SMP.md).
     """
     if kind not in _SERVERS:
         raise ValueError(f"unknown server kind {kind!r}")
+    if kernel.current is None:
+        raise RuntimeError("the HTTP bench needs a running task")
     sys = kernel.sys
-    httpd = kernel.current
-    if httpd is None:
-        raise RuntimeError("run_http_bench needs a running task")
+    clock = kernel.clock
     web_cfg = WebServerConfig(nfiles=cfg.nfiles,
                               avg_file_bytes=cfg.avg_file_bytes,
                               docroot=cfg.docroot, seed=cfg.seed)
     paths = build_docroot(kernel, web_cfg)
-    server = _SERVERS[kind](kernel, cfg)
-    server.setup()
-    clients = kernel.spawn("clients")
-    # both sides hold O(nclients) descriptors; lift the soft limit
-    httpd.rlimit_nofile = max(httpd.rlimit_nofile, cfg.nclients + 64)
-    clients.rlimit_nofile = max(clients.rlimit_nofile, cfg.nclients + 64)
+    base, rem = divmod(cfg.nclients, shards)
 
-    result = HttpBenchResult(kind=kind, nclients=cfg.nclients)
-    client_fds: list[int] = []
-    launched = 0
-    while launched < cfg.nclients:
-        wave = min(cfg.wave, cfg.nclients - launched)
-        kernel.sched.switch_to(clients)
-        for i in range(launched, launched + wave):
-            fd = sys.socket(blocking=False)
-            sys.connect(fd, cfg.port)
-            sys.write(fd, _request_for(paths[i % len(paths)]))
-            client_fds.append(fd)
-        launched += wave
-        kernel.sched.switch_to(httpd)
-        with kernel.measure() as m:
-            server.serve_wave(wave)
-        result.elapsed += m.delta.elapsed
-        result.user_cycles += m.delta.user
-        result.system_cycles += m.delta.system
-        result.syscalls += m.syscalls
-
-    # differential evidence: what did each client actually receive?
-    kernel.sched.switch_to(clients)
+    result = HttpBenchResult(kind=kind, nclients=cfg.nclients,
+                             per_cpu_elapsed=[0] * kernel.ncpus)
     digest = hashlib.sha256()
-    result.requests = server.requests
-    result.bytes_served = _drain_clients(kernel, client_fds, digest)
+    for c in range(shards):
+        size = base + (1 if c < rem else 0)
+        if size == 0:
+            result.shard_requests.append(0)
+            continue
+        shard_cfg = replace(cfg, nclients=size, port=cfg.port + c)
+        if shards == 1:
+            # The caller serves, and an unpinned client task is spawned
+            # after setup.  Spawning the clients first moves EPOLL_ORACLE's
+            # wakeup_delay (tests/trace/test_observer_oracles.py), and an
+            # httpd/0 task adds a spawn to E11's attribution in BENCH_NET.
+            httpd = kernel.current
+            server = _SERVERS[kind](kernel, shard_cfg)
+            server.setup()
+            clients = kernel.spawn("clients")
+        else:
+            # Both tasks are pinned to CPU c and spawned before setup;
+            # serving shard 0 from the caller moves URING_SMP_ORACLE's
+            # preemptoff (same file).
+            httpd = kernel.spawn(f"httpd/{c}", cpu=c)
+            clients = kernel.spawn(f"clients/{c}", cpu=c)
+            kernel.sched.switch_to(httpd)
+            server = _SERVERS[kind](kernel, shard_cfg)
+            server.setup()
+        # both sides hold O(size) descriptors; lift the soft limit
+        for task in (httpd, clients):
+            task.rlimit_nofile = max(task.rlimit_nofile, size + 64)
+
+        client_fds: list[int] = []
+        launched = 0
+        while launched < size:
+            wave = min(cfg.wave, size - launched)
+            kernel.sched.switch_to(clients)
+            for i in range(launched, launched + wave):
+                fd = sys.socket(blocking=False)
+                sys.connect(fd, shard_cfg.port)
+                sys.write(fd, _request_for(paths[(i * shards + c)
+                                                 % len(paths)]))
+                client_fds.append(fd)
+            launched += wave
+            kernel.sched.switch_to(httpd)
+            # The serving phase may spill onto other CPUs (RSS steers
+            # established flows by socket ino), so measure every CPU's
+            # local delta, not just shard c's.
+            before = clock.percpu()
+            sys0 = sys.total_syscalls
+            server.serve_wave(wave)
+            result.syscalls += sys.total_syscalls - sys0
+            for x, (a, b) in enumerate(zip(before, clock.percpu())):
+                result.per_cpu_elapsed[x] += b.elapsed - a.elapsed
+                result.user_cycles += b.user - a.user
+                result.system_cycles += b.system - a.system
+
+        # differential evidence: what did each client actually receive?
+        kernel.sched.switch_to(clients)
+        result.bytes_served += _drain_clients(kernel, client_fds, digest)
+        result.requests += server.requests
+        result.shard_requests.append(server.requests)
+
     result.digest = digest.hexdigest()
-    result.nic = _nic_stats(kernel, smp=False)
+    result.nic = _nic_stats(kernel, sharded=shards > 1)
     return result
 
 
@@ -704,7 +802,7 @@ def _drain_clients(kernel: "Kernel", fds: list[int], digest) -> int:
     return total
 
 
-def _nic_stats(kernel: "Kernel", smp: bool) -> dict:
+def _nic_stats(kernel: "Kernel", sharded: bool) -> dict:
     """The NIC counters a bench result reports; sharded runs add the RX
     queue count and NIC lock contention."""
     nic = kernel.net.nic
@@ -715,119 +813,8 @@ def _nic_stats(kernel: "Kernel", smp: bool) -> dict:
         "interrupts": nic.interrupts,
         "dropped": nic.dropped,
     }
-    if smp:
+    if sharded:
         stats.update(rx_queues=nic.nqueues,
                      lock_contentions=nic.lock.contentions,
                      lock_contention_cycles=nic.lock.contention_cycles)
     return stats
-
-
-@dataclass
-class SmpHttpBenchResult:
-    """Aggregate metrics for one sharded multi-core serving run."""
-
-    kind: str
-    nclients: int
-    cpus: int
-    requests: int = 0
-    bytes_served: int = 0
-    #: serving-phase cycles per CPU; the *wall* elapsed is their max
-    #: (frontier rule, docs/SMP.md) and the serialized equivalent their sum.
-    per_cpu_elapsed: list = field(default_factory=list)
-    wall_elapsed: int = 0
-    total_elapsed: int = 0
-    syscalls: int = 0
-    digest: str = ""          # sha256 over every shard's drained bytes
-    shard_requests: list = field(default_factory=list)
-    nic: dict = field(default_factory=dict)
-
-    @property
-    def throughput(self) -> float:
-        """Aggregate simulated throughput: requests per wall cycle."""
-        return self.requests / max(self.wall_elapsed, 1)
-
-    @property
-    def speedup(self) -> float:
-        """Parallel speedup over running the same work on one CPU."""
-        return self.total_elapsed / max(self.wall_elapsed, 1)
-
-
-def run_http_bench_smp(kernel: "Kernel", kind: str,
-                       cfg: HttpBenchConfig) -> SmpHttpBenchResult:
-    """Shard ``cfg.nclients`` across every CPU of an SMP kernel.
-
-    CPU *c* gets its own server task and client task (both pinned to
-    *c*) on port ``cfg.port + c``; the NIC's RSS steering keeps each
-    listener's SYNs on its own RX queue.  Shards execute one after
-    another in the cooperative simulation, but their costs land on their
-    own CPUs' local clocks — so the *wall* elapsed of the whole run is
-    the maximum per-CPU serving time (the frontier rule), and aggregate
-    throughput is total requests over that wall time.  The kernel's
-    ``SocketLayer`` should be built with ``queues=kernel.ncpus``.
-    """
-    if kind not in _SERVERS:
-        raise ValueError(f"unknown server kind {kind!r}")
-    ncpus = kernel.ncpus
-    if ncpus < 2:
-        raise ValueError("run_http_bench_smp needs an SMP kernel (cpus>1)")
-    if kernel.current is None:
-        raise RuntimeError("run_http_bench_smp needs a running task")
-    sys = kernel.sys
-    clock = kernel.clock
-    web_cfg = WebServerConfig(nfiles=cfg.nfiles,
-                              avg_file_bytes=cfg.avg_file_bytes,
-                              docroot=cfg.docroot, seed=cfg.seed)
-    paths = build_docroot(kernel, web_cfg)
-    base, rem = divmod(cfg.nclients, ncpus)
-    sizes = [base + (1 if c < rem else 0) for c in range(ncpus)]
-
-    result = SmpHttpBenchResult(kind=kind, nclients=cfg.nclients, cpus=ncpus)
-    serving = [0] * ncpus
-    digest = hashlib.sha256()
-    for c in range(ncpus):
-        size = sizes[c]
-        if size == 0:
-            result.shard_requests.append(0)
-            continue
-        shard_cfg = replace(cfg, nclients=size, port=cfg.port + c)
-        httpd = kernel.spawn(f"httpd/{c}", cpu=c)
-        clients = kernel.spawn(f"clients/{c}", cpu=c)
-        httpd.rlimit_nofile = max(httpd.rlimit_nofile, size + 64)
-        clients.rlimit_nofile = max(clients.rlimit_nofile, size + 64)
-        kernel.sched.switch_to(httpd)
-        server = _SERVERS[kind](kernel, shard_cfg)
-        server.setup()
-
-        client_fds: list[int] = []
-        launched = 0
-        while launched < size:
-            wave = min(cfg.wave, size - launched)
-            kernel.sched.switch_to(clients)
-            for i in range(launched, launched + wave):
-                fd = sys.socket(blocking=False)
-                sys.connect(fd, shard_cfg.port)
-                sys.write(fd, _request_for(paths[(i * ncpus + c) % len(paths)]))
-                client_fds.append(fd)
-            launched += wave
-            kernel.sched.switch_to(httpd)
-            # The serving phase may spill onto other CPUs (RSS steers
-            # established flows by socket ino), so measure every CPU's
-            # local delta, not just shard c's.
-            before = [clock.local_now(x) for x in range(ncpus)]
-            sys0 = sys.total_syscalls
-            server.serve_wave(wave)
-            for x in range(ncpus):
-                serving[x] += clock.local_now(x) - before[x]
-            result.syscalls += sys.total_syscalls - sys0
-
-        kernel.sched.switch_to(clients)
-        result.bytes_served += _drain_clients(kernel, client_fds, digest)
-        result.requests += server.requests
-        result.shard_requests.append(server.requests)
-
-    result.digest = digest.hexdigest()
-    result.per_cpu_elapsed = serving
-    result.wall_elapsed = max(serving)
-    result.total_elapsed = sum(serving)
-    result.nic = _nic_stats(kernel, smp=True)
-    return result

@@ -21,8 +21,9 @@ from repro.kernel.interrupts import IRQ_DISPATCH_COST
 from repro.kernel.locks import SpinLock
 from repro.kernel.net import SocketLayer
 from repro.kernel.process import TaskState
-from repro.workloads import (HttpBenchConfig, PostMark, PostMarkConfig,
-                             run_http_bench, run_http_bench_smp)
+from repro.workloads import (SERVER_KINDS, HttpBenchConfig, PostMark,
+                             PostMarkConfig, run_http_bench,
+                             run_http_bench_smp)
 
 #: captured from the pre-SMP kernel (PR 7 tree): epoll serving, 50
 #: keep-alive clients on ramfs — global clock totals and response digest.
@@ -362,13 +363,43 @@ def test_nic_rx_steering_spreads_queues_and_ipis():
     assert r.speedup > 1.0
 
 
-def test_smp_bench_requires_smp_kernel():
-    k = _boot(name="bench")
-    if k.ncpus > 1:
-        pytest.skip("kernel booted SMP via REPRO_CPUS")
-    SocketLayer(k)
-    with pytest.raises(ValueError):
-        run_http_bench_smp(k, "epoll", HttpBenchConfig(nclients=10))
+@pytest.mark.parametrize("kind", SERVER_KINDS)
+def test_smp_bench_on_one_cpu_is_the_single_server_bench(kind):
+    """At cpus=1 the sharded entry point is the single-server one: the
+    same result, whole-run clock, profiler histograms and lock count."""
+
+    def run(bench):
+        k = Kernel(cpus=1, lockdep=True, profile=True)
+        k.mount_root(RamfsSuperBlock(k))
+        k.spawn("bench")
+        SocketLayer(k)
+        r = bench(k, kind, HttpBenchConfig(nclients=150))
+        observed = {
+            "user": k.clock.user, "system": k.clock.system,
+            "preemptoff": (k.prof.preemptoff.count, k.prof.preemptoff.sum),
+            "wakeup_delay": (k.prof.wakeup_delay.count,
+                             k.prof.wakeup_delay.sum),
+            "acquisitions": k.lockdep.acquisitions,
+        }
+        return r, observed
+
+    assert run(run_http_bench_smp) == run(run_http_bench)
+
+
+@pytest.mark.parametrize("kind", SERVER_KINDS)
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_sharded_result_splits_user_and_system_per_cpu(cpus, kind):
+    k = _boot(cpus=cpus, name="bench")
+    SocketLayer(k, queues=cpus)
+    r = run_http_bench_smp(k, kind, HttpBenchConfig(nclients=100))
+    assert r.requests == sum(r.shard_requests) == 100
+    assert len(r.per_cpu_elapsed) == len(r.shard_requests) == cpus
+    # ramfs never waits on a disk: serving time is user plus system
+    assert r.user_cycles + r.system_cycles == r.elapsed \
+        == sum(r.per_cpu_elapsed)
+    assert r.wall_elapsed == max(r.per_cpu_elapsed)
+    if cpus == 1:
+        assert r.speedup == 1.0
 
 
 # ------------------------------------------------------------ task state

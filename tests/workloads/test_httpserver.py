@@ -1,5 +1,6 @@
-"""Differential test: the three HTTP servers (select, epoll, Cosy
-compound) must serve byte-identical responses, differing only in cost."""
+"""Differential test: the four HTTP servers (select, epoll, Cosy
+compound, uring) must serve byte-identical responses, differing only in
+cost."""
 
 import pytest
 
