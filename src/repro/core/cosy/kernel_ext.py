@@ -8,8 +8,9 @@ Execution model:
 
 * the whole compound enters the kernel through **one** trap (the
   ``cosy_exec`` syscall), so N operations cost one boundary crossing;
-* syscall operations invoke the *same handlers* a normal process reaches
-  through the dispatcher — every fd/permission/path check still runs — but
+* syscall operations call the *same syscall cores* a normal process
+  reaches through the dispatcher (``kernel/syscalls/file_ops.py``) — every
+  argument/fd/access-mode/path check runs, with the syscall's errnos — but
   data moves through the shared buffer at in-kernel memcpy cost instead of
   uaccess cost (the zero-copy saving);
 * every operation is a preemption point, which arms the kernel-time
@@ -29,11 +30,9 @@ from repro.core.cosy.compound import (CompoundFault, CompoundStatus,
 from repro.core.cosy.ops import Arg, ArgKind, MATH_OP_NAMES, Op, OpCode
 from repro.core.cosy.safety import CosyProtection, CosyWatchdog, FunctionIsolation
 from repro.core.cosy.shared_buffer import SharedBuffer
-from repro.errors import (CosyError, EBADF, ENOMEM, Errno, OutOfMemory,
-                          raise_errno)
+from repro.errors import CosyError, ENOMEM, Errno, OutOfMemory
 from repro.kernel.clock import Mode
 from repro.kernel.syscalls.table import syscall_name
-from repro.kernel.vfs.file import O_APPEND
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.core import Kernel
@@ -267,39 +266,25 @@ class CosyKernelExtension:
         if name == "read":
             fd = scalar(0)
             off, _ = shared_ref(1)
-            count = scalar(2)
-            file = sys._file_for(fd)
-            file.check_readable()
-            data = file.inode.read(file.pos, count)
-            file.pos += len(data)
+            data = sys._read(fd, scalar(2))
             shared.write_kernel(off, data)
             return len(data)
         if name == "write":
             fd = scalar(0)
             off, _ = shared_ref(1)
             count = scalar(2)
-            data = shared.read_kernel(off, count)
-            file = sys._file_for(fd)
-            file.check_writable()
-            pos = file.inode.size if (file.flags & O_APPEND) else file.pos
-            n = file.inode.write(pos, data)
-            file.pos = pos + n
-            return n
+            return sys._write(fd, lambda: shared.read_kernel(off, count))
         if name == "pread":
             fd, count, fpos = scalar(0), scalar(2), scalar(3)
             off, _ = shared_ref(1)
-            file = sys._file_for(fd)
-            file.check_readable()
-            data = file.inode.read(fpos, count)
+            data = sys._pread(fd, count, fpos)
             shared.write_kernel(off, data)
             return len(data)
         if name == "pwrite":
             fd, count, fpos = scalar(0), scalar(2), scalar(3)
             off, _ = shared_ref(1)
-            data = shared.read_kernel(off, count)
-            file = sys._file_for(fd)
-            file.check_writable()
-            return file.inode.write(fpos, data)
+            return sys._pwrite(fd, lambda: shared.read_kernel(off, count),
+                               fpos)
         if name == "lseek":
             return sys.do_lseek(scalar(0), scalar(1), scalar(2))
         if name == "getpid":
@@ -307,47 +292,25 @@ class CosyKernelExtension:
         if name == "stat":
             path = path_arg(0)
             off, _ = shared_ref(1)
-            dentry = kernel.vfs.path_walk(path, kernel.current.cwd)
-            kernel.clock.charge(kernel.costs.stat_fill, Mode.SYSTEM)
-            shared.write_kernel(off, dentry.inode.getattr().pack())
+            shared.write_kernel(off, sys._stat(path).pack())
             return 0
         if name == "fstat":
             fd = scalar(0)
             off, _ = shared_ref(1)
-            file = sys._file_for(fd)
-            kernel.clock.charge(kernel.costs.stat_fill, Mode.SYSTEM)
-            shared.write_kernel(off, file.inode.getattr().pack())
+            shared.write_kernel(off, sys._fstat(fd).pack())
             return 0
-        if name == "unlink":
-            kernel.vfs.unlink(path_arg(0), kernel.current.cwd)
-            return 0
-        if name == "mkdir":
-            kernel.vfs.mkdir(path_arg(0), kernel.current.cwd)
-            return 0
-        if name == "rmdir":
-            kernel.vfs.rmdir(path_arg(0), kernel.current.cwd)
+        if name in ("unlink", "mkdir", "rmdir"):
+            getattr(kernel.vfs, name)(path_arg(0), kernel.current.cwd)
             return 0
         if name == "ftruncate":
             return sys.do_ftruncate(scalar(0), scalar(1))
         if name == "getdents":
             fd = scalar(0)
             off, length = shared_ref(1)
-            entries = sys._file_for(fd)  # validate fd first
-            if not entries.inode.is_dir:
-                raise_errno(EBADF, "getdents on non-directory")
-            batch = []
-            used = 0
-            all_entries = entries.inode.readdir()
-            for e in all_entries[entries.pos:]:
-                raw = _pack_dirent(e)
-                if used + len(raw) > length:
-                    break
-                kernel.clock.charge(kernel.costs.dirent_emit, Mode.SYSTEM)
-                batch.append(raw)
-                used += len(raw)
-            entries.pos += len(batch)
-            if batch:
-                shared.write_kernel(off, b"".join(batch))
+            _, used = sys._getdents(
+                fd, length, _dirent_size,
+                lambda out, _: shared.write_kernel(
+                    off, b"".join(map(_pack_dirent, out))))
             return used
         if name in ("accept", "sendfile", "shutdown"):
             # Network handlers live on kernel.net (repro.kernel.net's
@@ -377,6 +340,11 @@ def _pack_dirent(entry) -> bytes:
     name_bytes = entry.name.encode()
     return (entry.ino.to_bytes(8, "little")
             + bytes([entry.dtype, len(name_bytes)]) + name_bytes)
+
+
+def _dirent_size(entry) -> int:
+    """Bytes :func:`_pack_dirent` gives ``entry``: ino, dtype, length, name."""
+    return 10 + len(entry.name.encode())
 
 
 def _math(op: str, a: int, b: int) -> int:

@@ -75,9 +75,8 @@ class Kernel:
         #: attach points for in-kernel observers (repro.kernel.hooks),
         #: first so every lock and observer built below can use them.
         self.hooks = Hooks()
-        #: compile-time-style switches: newly created locks/refcounts emit
-        #: events when these are set (the §3.3 "instrumented kernel" builds).
-        self.instrument_all_locks = False
+        #: compile-time-style switch: newly created refcounts emit events
+        #: when it is set (the §3.3 "instrumented kernel" builds).
         self.instrument_all_refcounts = False
         self.costs = costs if costs is not None else DEFAULT_COSTS
         #: simulated CPU count (docs/SMP.md): explicit argument wins, then

@@ -59,7 +59,7 @@ class SpinLock:
                  instrumented: bool = False, charge: bool = True):
         self.kernel = kernel
         self.name = name
-        self.instrumented = instrumented or kernel.instrument_all_locks
+        self.instrumented = instrumented
         self.charged = charge
         self.held = False
         self.holder_pid: int | None = None

@@ -194,24 +194,28 @@ class SocketLayer:
             if not self.nic.kick():
                 raise_errno(EDEADLK,
                             "blocking accept with no connection in flight")
-        with self.kernel.irq.irqs_off("sock:accept"):
-            with listener.rxq_lock.guard("sock:accept"):
+        return self._accept_queued(listener, "sock:accept")
+
+    def _accept_queued(self, listener: SocketInode, site: str) -> int:
+        """Install one backlogged connection as an fd of the current task
+        (``site``: ``sock:accept`` or ``uring:accept``).  The child left the
+        backlog ESTABLISHED; with no fd it would wedge the peer forever, so
+        on EMFILE the connection is aborted, as a real kernel tears down an
+        accept it could not complete, and the errno propagates."""
+        with self.kernel.irq.irqs_off(site):
+            with listener.rxq_lock.guard(site):
                 child = listener.accept_queue.popleft()
         self._charge_op()
         try:
             child_fd = self._alloc_sock_fd(child)
         except Errno:
-            # The child was already ESTABLISHED when it left the backlog;
-            # with no fd it would leak and wedge the peer forever.  Abort
-            # the connection like a real kernel tearing down an accept it
-            # could not complete.
             self.accept_emfile += 1
             self.kernel.metrics.counter("net.accept_emfile").inc()
-            self.reset_connection(child, site="accept-emfile")
-            child.close_endpoint("sock:accept-emfile")
+            self.reset_connection(child, site=f"{site}-emfile")
+            child.close_endpoint(f"{site}-emfile")
             raise
         self.accepts += 1
-        self.kernel.log_event(child, EV_SOCK_ACCEPT, "sock:accept")
+        self.kernel.log_event(child, EV_SOCK_ACCEPT, site)
         return child_fd
 
     def do_shutdown(self, fd: int, how: int) -> int:

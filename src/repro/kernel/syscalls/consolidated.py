@@ -89,12 +89,10 @@ class ConsolidatedMixin:
         self.ucopy.charge_from_user(len(path) + 1)  # type: ignore[attr-defined]
         fd = self._open_nocopy(path, O_RDONLY)  # type: ignore[attr-defined]
         try:
-            file = self._file_for(fd)  # type: ignore[attr-defined]
             if count < 0:
+                file = self._file_for(fd)  # type: ignore[attr-defined]
                 count = max(0, file.inode.size - offset)
-            data = file.inode.read(offset, count)
-            self.ucopy.charge_to_user(len(data))  # type: ignore[attr-defined]
-            return data
+            return self.do_pread(fd, count, offset)  # type: ignore[attr-defined]
         finally:
             self.do_close(fd)  # type: ignore[attr-defined]
 
@@ -112,10 +110,7 @@ class ConsolidatedMixin:
             flags |= O_APPEND
         fd = self._open_nocopy(path, flags)  # type: ignore[attr-defined]
         try:
-            self.ucopy.charge_from_user(len(data))  # type: ignore[attr-defined]
-            file = self._file_for(fd)  # type: ignore[attr-defined]
-            pos = file.inode.size if append else 0
-            return file.inode.write(pos, data)
+            return self.do_write(fd, data)  # type: ignore[attr-defined]
         finally:
             self.do_close(fd)  # type: ignore[attr-defined]
 
@@ -124,8 +119,4 @@ class ConsolidatedMixin:
         """open + fstat, returning the open fd along with the attributes."""
         self.ucopy.charge_from_user(len(path) + 1)  # type: ignore[attr-defined]
         fd = self._open_nocopy(path, flags)  # type: ignore[attr-defined]
-        file = self._file_for(fd)  # type: ignore[attr-defined]
-        self.kernel.clock.charge(self.kernel.costs.stat_fill, Mode.SYSTEM)
-        st = file.inode.getattr()
-        self.ucopy.charge_to_user(STAT_SIZE)  # type: ignore[attr-defined]
-        return fd, st
+        return fd, self.do_fstat(fd)  # type: ignore[attr-defined]

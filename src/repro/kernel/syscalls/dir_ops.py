@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro.errors import EINVAL, ENOTDIR, raise_errno
 from repro.kernel.clock import Mode
@@ -17,12 +17,20 @@ class DirOpsMixin:
 
     kernel: "Kernel"
 
-    def do_getdents(self, fd: int, bufsize: int = 32768) -> list[DirEntry]:
-        """Fill a user dirent buffer; returns the entries that fit.
+    def _getdents(self, fd: int, bufsize: int,
+                  size: Callable[[DirEntry], int],
+                  copy_out: Callable[[list[DirEntry], int], None]
+                  ) -> tuple[list[DirEntry], int]:
+        """The getdents core: emit the entries whose ``size`` fits in
+        ``bufsize``, hand them and the bytes they use to ``copy_out``,
+        advance ``file.pos`` past them, and return both.
 
         ``file.pos`` is the index of the next entry to emit, so repeated
         calls stream a large directory exactly like getdents64(2); an empty
-        return means end-of-directory.
+        return means end-of-directory.  ``size`` and ``copy_out`` are the
+        caller's encoding: linux_dirent64 copied to user space for the
+        syscall, Cosy's own packing into the shared buffer for compounds.
+        A failed copy leaves ``file.pos`` where it was.
         """
         if bufsize <= 0:
             raise_errno(EINVAL, "getdents bufsize must be positive")
@@ -34,15 +42,22 @@ class DirOpsMixin:
         used = 0
         costs = self.kernel.costs
         for entry in entries[file.pos:]:
-            need = entry.encoded_size()
+            need = size(entry)
             if used + need > bufsize:
                 break
             self.kernel.clock.charge(costs.dirent_emit, Mode.SYSTEM)
             out.append(entry)
             used += need
         if out:
-            self.ucopy.charge_to_user(used)  # type: ignore[attr-defined]
+            copy_out(out, used)
         file.pos += len(out)
+        return out, used
+
+    def do_getdents(self, fd: int, bufsize: int = 32768) -> list[DirEntry]:
+        """Fill a user dirent buffer; returns the entries that fit."""
+        out, _ = self._getdents(
+            fd, bufsize, DirEntry.encoded_size,
+            lambda _, used: self.ucopy.charge_to_user(used))  # type: ignore[attr-defined]
         return out
 
     def do_mkdir(self, path: str, mode: int = 0o755) -> int:

@@ -1,15 +1,19 @@
 """File syscall handlers (the ``do_*`` bodies run in kernel mode).
 
-Handlers never charge trap/stub costs themselves — the dispatcher does —
-so the Cosy kernel extension (§2.3) can invoke the same handlers directly
-and legitimately skip the boundary costs: "the system call invocation by
-the Cosy kernel module is the same as a normal process and hence all the
-necessary checks are performed."
+Handlers never charge trap/stub costs themselves — the dispatcher does.
+Each op has one core (``_read``, ``_write``, ``_stat``, ...) that checks
+the arguments, resolves the fd, checks the access mode, calls the inode and
+moves ``file.pos`` without any uaccess charge; ``do_*`` adds the copy
+charge.  Cosy compounds (§2.3) and uring SQEs call the same cores and move
+the bytes through their shared buffer, so they skip only the boundary
+costs: "the system call invocation by the Cosy kernel module is the same as
+a normal process and hence all the necessary checks are performed."  A
+write core's ``fetch`` supplies the bytes once the fd has passed its checks.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro.errors import EBADF, EINVAL, EISDIR, ENOENT, Errno, raise_errno
 from repro.kernel.clock import Mode
@@ -85,41 +89,57 @@ class FileOpsMixin:
             raise_errno(EBADF, f"fd {fd}")
         return file
 
-    def do_read(self, fd: int, count: int) -> bytes:
+    def _read(self, fd: int, count: int) -> bytes:
         if count < 0:
             raise_errno(EINVAL, "negative read count")
         file = self._file_for(fd)
         file.check_readable()
         data = file.inode.read(file.pos, count)
         file.pos += len(data)
+        return data
+
+    def do_read(self, fd: int, count: int) -> bytes:
+        data = self._read(fd, count)
         self.ucopy.charge_to_user(len(data))
         return data
 
-    def do_write(self, fd: int, data: bytes) -> int:
+    def _write(self, fd: int, fetch: Callable[[], bytes]) -> int:
         file = self._file_for(fd)
         file.check_writable()
-        self.ucopy.charge_from_user(len(data))
+        data = fetch()
         pos = file.inode.size if (file.flags & O_APPEND) else file.pos
         n = file.inode.write(pos, data)
         file.pos = pos + n
         return n
 
-    def do_pread(self, fd: int, count: int, offset: int) -> bytes:
+    def do_write(self, fd: int, data: bytes) -> int:
+        return self._write(fd, lambda: self._from_user(data))
+
+    def _from_user(self, data: bytes) -> bytes:
+        self.ucopy.charge_from_user(len(data))
+        return data
+
+    def _pread(self, fd: int, count: int, offset: int) -> bytes:
         if count < 0 or offset < 0:
             raise_errno(EINVAL, "negative count/offset")
         file = self._file_for(fd)
         file.check_readable()
-        data = file.inode.read(offset, count)
+        return file.inode.read(offset, count)
+
+    def do_pread(self, fd: int, count: int, offset: int) -> bytes:
+        data = self._pread(fd, count, offset)
         self.ucopy.charge_to_user(len(data))
         return data
 
-    def do_pwrite(self, fd: int, data: bytes, offset: int) -> int:
+    def _pwrite(self, fd: int, fetch: Callable[[], bytes], offset: int) -> int:
         if offset < 0:
             raise_errno(EINVAL, "negative offset")
         file = self._file_for(fd)
         file.check_writable()
-        self.ucopy.charge_from_user(len(data))
-        return file.inode.write(offset, data)
+        return file.inode.write(offset, fetch())
+
+    def do_pwrite(self, fd: int, data: bytes, offset: int) -> int:
+        return self._pwrite(fd, lambda: self._from_user(data), offset)
 
     def do_lseek(self, fd: int, offset: int, whence: int = SEEK_SET) -> int:
         file = self._file_for(fd)
@@ -138,19 +158,24 @@ class FileOpsMixin:
 
     # ------------------------------------------------------------- metadata
 
+    def _stat(self, path: str) -> Stat:
+        dentry = self.kernel.vfs.path_walk(path, self.kernel.current.cwd)
+        self.kernel.clock.charge(self.kernel.costs.stat_fill, Mode.SYSTEM)
+        return dentry.inode.getattr()
+
     def do_stat(self, path: str) -> Stat:
         self.ucopy.charge_from_user(len(path) + 1)
-        task = self.kernel.current
-        dentry = self.kernel.vfs.path_walk(path, task.cwd)
-        self.kernel.clock.charge(self.kernel.costs.stat_fill, Mode.SYSTEM)
-        st = dentry.inode.getattr()
+        st = self._stat(path)
         self.ucopy.charge_to_user(STAT_SIZE)
         return st
 
-    def do_fstat(self, fd: int) -> Stat:
+    def _fstat(self, fd: int) -> Stat:
         file = self._file_for(fd)
         self.kernel.clock.charge(self.kernel.costs.stat_fill, Mode.SYSTEM)
-        st = file.inode.getattr()
+        return file.inode.getattr()
+
+    def do_fstat(self, fd: int) -> Stat:
+        st = self._fstat(fd)
         self.ucopy.charge_to_user(STAT_SIZE)
         return st
 

@@ -13,8 +13,10 @@ SocketLayer does for ``kernel.net``; two syscalls dispatch to it:
     steady state entirely — a kernel-side poller consumes published SQEs
     from its own CPU, and user space only traps to unpark it.
 
-Operation dispatch reuses the existing syscall bodies (``sendfile_files``,
-``_open_nocopy``, ``do_close``, the socket inode data path), so every
+Operation dispatch calls the syscall cores (``_pread``/``_pwrite`` for
+READ/WRITE, ``_open_nocopy``, ``do_close``, ``sendfile_files``, the
+socket layer's ``_accept_queued`` and the socket inode data path), so each
+opcode runs the matching syscall's argument checks and errnos, and every
 cycle an operation costs through the classic path is costed identically
 here — what uring removes is exactly the per-call trap/uaccess overhead,
 never the work.
@@ -28,7 +30,7 @@ from typing import TYPE_CHECKING
 from repro.errors import (EBADF, ECANCELED, EDEADLK, EINVAL, EOPNOTSUPP,
                           Errno, raise_errno)
 from repro.kernel.clock import Mode
-from repro.kernel.net.socket import EV_SOCK_ACCEPT, SocketInode, SockState
+from repro.kernel.net.socket import SocketInode, SockState
 from repro.kernel.uring.ring import (CQ_TAIL_OFF, FLAGS_OFF, RING_NEED_WAKEUP,
                                      SQ_HEAD_OFF, SQ_TAIL_OFF, Uring, UringFS,
                                      UringInode)
@@ -391,27 +393,15 @@ class UringLayer:
         if listener.state is not SockState.LISTENING:
             raise_errno(EINVAL, "uring accept on a non-listening socket")
         while listener.accept_queue:
-            with self.kernel.irq.irqs_off("uring:accept"):
-                with listener.rxq_lock.guard("uring:accept"):
-                    child = listener.accept_queue.popleft()
-            stack._charge_op()
             try:
-                child_fd = stack._alloc_sock_fd(child)
+                child_fd = stack._accept_queued(listener, "uring:accept")
             except Errno as e:
-                # mirror do_accept: an accepted-but-undeliverable child
-                # must not wedge the peer — abort the connection
-                stack.accept_emfile += 1
-                self._counter("net.accept_emfile").inc()
-                stack.reset_connection(child, site="uring-accept-emfile")
-                child.close_endpoint("uring:accept-emfile")
                 self._post(ring, sqe.user_data, -e.errno,
                            more=armed.multishot)
                 if armed.multishot:
                     return False       # stay armed; stop this flush
                 self._cancel(ring, armed.rest)
                 return True
-            stack.accepts += 1
-            self.kernel.log_event(child, EV_SOCK_ACCEPT, "uring:accept")
             self._post(ring, sqe.user_data, child_fd, more=armed.multishot)
             if not armed.multishot:
                 self._run_chain(ring, armed.rest, fail=armed.fail)
@@ -451,15 +441,15 @@ class UringLayer:
 
     # ----------------------------------------------------------- execution
 
-    def _resolve(self, ring: Uring, fd: int, fixed: bool) -> File:
+    def _fd(self, ring: Uring, fd: int, fixed: bool) -> int:
         """Map an SQE file reference (task fd or fixed-file slot) to a
-        :class:`File` of the ring owner."""
-        if fixed:
-            real = ring.fixed_fd(fd)
-            if real < 0:
-                raise_errno(EBADF, f"empty fixed-file slot {fd}")
-            fd = real
-        return self.kernel.sys._file_for(fd)
+        descriptor of the ring owner."""
+        if not fixed:
+            return fd
+        real = ring.fixed_fd(fd)
+        if real < 0:
+            raise_errno(EBADF, f"empty fixed-file slot {fd}")
+        return real
 
     def _exec(self, ring: Uring, sqe: Sqe) -> int:
         """Dispatch one synchronous opcode; returns the CQE ``res``."""
@@ -474,28 +464,22 @@ class UringLayer:
             return sock.write(0, data)
         if op == OP_SENDFILE:
             dst = sys._file_for(sqe.fd)
-            src = self._resolve(ring, sqe.addr, fixed)
+            src = sys._file_for(self._fd(ring, sqe.addr, fixed))
             return self._stack().sendfile_files(dst, src, sqe.off, sqe.len)
         if op == OP_READ:
-            file = self._resolve(ring, sqe.fd, fixed)
-            file.check_readable()
-            data = file.inode.read(sqe.off, sqe.len)
+            data = sys._pread(self._fd(ring, sqe.fd, fixed), sqe.len, sqe.off)
             if data:
                 ring.shared.write_kernel(sqe.addr, data)
             return len(data)
         if op == OP_WRITE:
-            file = self._resolve(ring, sqe.fd, fixed)
-            file.check_writable()
-            data = ring.shared.read_kernel(sqe.addr, sqe.len)
-            return file.inode.write(sqe.off, data)
+            return sys._pwrite(
+                self._fd(ring, sqe.fd, fixed),
+                lambda: ring.shared.read_kernel(sqe.addr, sqe.len), sqe.off)
         if op == OP_CLOSE:
+            fd = self._fd(ring, sqe.fd, fixed)
             if fixed:
-                real = ring.fixed_fd(sqe.fd)
-                if real < 0:
-                    raise_errno(EBADF, f"empty fixed-file slot {sqe.fd}")
                 ring.fixed[sqe.fd] = -1
-                return sys.do_close(real)
-            return sys.do_close(sqe.fd)
+            return sys.do_close(fd)
         if op == OP_OPENAT:
             raw = ring.shared.read_kernel(sqe.addr, sqe.len)
             path = raw.split(b"\0", 1)[0].decode()

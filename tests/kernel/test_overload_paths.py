@@ -6,8 +6,9 @@ Each test isolates one hostile path the multi-tenant overload scenarios
 * listen-backlog overflow while the accept loop is stalled — every
   refusal must be accounted (overflow -> RST -> ECONNREFUSED) and the
   backlog itself must still drain;
-* ``accept`` hitting the caller's fd limit (EMFILE) — the half-accepted
-  child must be torn down, not stranded in sockfs;
+* ``accept`` (the syscall or a uring ACCEPT) hitting the caller's fd
+  limit (EMFILE) — the half-accepted child must be torn down, not
+  stranded in sockfs;
 * descriptor reuse against an epoll interest set (close *without*
   ``EPOLL_CTL_DEL``) — the dead registration must neither report the new
   socket's readiness nor block re-registration;
@@ -22,6 +23,7 @@ from repro.errors import (EAGAIN, EBADF, ECONNREFUSED, ECONNRESET, EINVAL,
 from repro.kernel import Kernel
 from repro.kernel.fs import Ext2SuperBlock, RamfsSuperBlock, WrapfsSuperBlock
 from repro.kernel.net import EPOLL_CTL_ADD, EPOLL_CTL_MOD, EPOLLIN, SocketLayer
+from repro.kernel.uring import OP_ACCEPT, Sqe, UringLayer, UringQueue
 from repro.kernel.vfs import O_CREAT, O_RDWR
 
 
@@ -131,6 +133,28 @@ def test_accept_emfile_tears_the_child_down(k, stack):
     for fd in (cfd, cfd2, conn, lfd):
         k.sys.close(fd)
     assert len(stack.sockfs.inodes) == 0
+
+
+def test_uring_accept_emfile_tears_the_child_down(k, stack):
+    """An armed ACCEPT SQE shares do_accept's dequeue: on EMFILE it posts
+    the errno, counts it, and resets the child instead of stranding it."""
+    UringLayer(k)
+    ring = UringQueue(k, k.sys.uring_setup(4))
+    lfd = k.sys.socket(blocking=False)
+    k.sys.bind(lfd, 80)
+    k.sys.listen(lfd, 8)
+    cfd = k.sys.socket(blocking=False)
+    k.sys.connect(cfd, 80)
+
+    k.current.rlimit_nofile = len(k.current.fds)
+    ring.prep(Sqe(OP_ACCEPT, fd=lfd, user_data=1))
+    ring.submit()
+    assert [(c.user_data, c.res) for c in ring.harvest()] == [(1, -EMFILE)]
+    assert stack.accept_emfile == 1 and stack.accepts == 0
+    assert k.metrics.snapshot()["net.accept_emfile"] == 1
+    with pytest.raises(Errno) as exc:
+        k.sys.read(cfd, 16)
+    assert exc.value.errno == ECONNRESET
 
 
 def test_socket_emfile_registers_no_inode(k, stack):
